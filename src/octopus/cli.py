@@ -174,7 +174,11 @@ def run_batch(args: CliArgs, stdout=None, stderr=None) -> int:
 
     log = None
     if args.logging_file:
-        log = open(args.logging_file, "a", encoding="utf-8")
+        try:
+            log = open(args.logging_file, "a", encoding="utf-8")
+        except OSError as e:
+            print(f"error: cannot open logging file: {e}", file=stderr)
+            return 1
         log.write(f"config\tprefix={args.prefix}\tmethod={cfg.method}\tnbeam={cfg.nbeam}\t"
                   f"max_outputs={cfg.max_outputs}\tseq_length={cfg.seq_length}\n")
     try:
@@ -202,11 +206,15 @@ def repl_loop(args: CliArgs, stdin=None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
+        cfg = _decode_config(args)
+    except ValueError as e:
+        print(f"error: {e}", file=stderr)
+        return 2
+    try:
         model, vocab = load_toolkit(args.model_path)
     except (OSError, ValueError) as e:
         print(f"error: cannot load model from {args.model_path}: {e}", file=stderr)
         return 1
-    cfg = _decode_config(args)
 
     stdout.write("Octopus Interactive CLI\n")
     stdout.write(f"Loading model from {args.model_path}\n")

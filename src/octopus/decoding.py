@@ -1,17 +1,27 @@
 """Inference-time search: greedy, beam, and top-k / nucleus sampling,
 with n-best output and n-gram repetition blocking.
+
+One loop (`_search`) runs them all, one batched model step per token over
+every live row: beams, sampled draws, or the sources of a greedy batch.
+Each step decodes only the newest tokens against a `DecoderCache`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .model import DecoderCache
 from .tensor import no_grad
 
 StepFn = Callable[[tuple[int, ...]], np.ndarray]  # prefix -> log-prob vector
+# (parent row of each live row, each live row's prefix) -> (rows, V) log-probs
+BatchStep = Callable[[np.ndarray, list[tuple[int, ...]]], np.ndarray]
+# a live row: (search, cumulative log-prob, prefix, its parent's row last step)
+Row = tuple[int, float, tuple[int, ...], int]
 
 
 @dataclass
@@ -41,8 +51,6 @@ class DecodeConfig:
             raise ValueError("max_outputs must be >= 1")
         if self.method == "beam" and self.nbeam < self.max_outputs:
             raise ValueError("nbeam must be >= max_outputs for beam search")
-        if self.method == "beam" and self.nbeam < 1:
-            raise ValueError("nbeam must be >= 1")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must be in (0, 1]")
         if self.top_k < 0:
@@ -113,112 +121,127 @@ def sample_step(
     return int(order[rng.choice(len(order), p=kept)])
 
 
-def _blocker(cfg: DecodeConfig) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
-    n = cfg.no_repeat_ngram_size
+def _blocker(n: int):
+    return (lambda lp, history: block_repeat_ngrams(lp, history, n)) if n > 0 else None
 
-    def apply(logprobs, history):
-        return block_repeat_ngrams(logprobs, history, n)
 
-    return apply
+def _beam_choose(lp: np.ndarray, live: list[Row], width: int) -> dict[int, list[Row]]:
+    """Per search, the `width` best extensions of its live rows by
+    cumulative log-probability, ties to the lexicographically smaller
+    sequence. Only tokens at or above their row's width-th best score can
+    qualify, so the exact sort runs on that small set."""
+    scores = np.array([row[1] for row in live])[:, None] + lp
+    k = min(width, scores.shape[1])
+    kth = -np.partition(-scores, k - 1, axis=1)[:, k - 1:k]
+    picked: dict[int, list[Row]] = {}
+    for r, tok in zip(*np.nonzero((scores >= kth) & (scores > -np.inf))):
+        search, _, ids, _ = live[r]
+        picked.setdefault(search, []).append(
+            (search, float(scores[r, tok]), ids + (int(tok),), int(r)))
+    for rows in picked.values():
+        rows.sort(key=lambda row: (-row[1], row[2]))
+        del rows[width:]
+    return picked
+
+
+def _sample_choose(lp: np.ndarray, live: list[Row], cfg: DecodeConfig,
+                   rngs: list[np.random.Generator]) -> dict[int, list[Row]]:
+    """One token per live row, drawn with its search's own generator."""
+    picked = {}
+    for r, (search, logprob, ids, _) in enumerate(live):
+        tok = sample_step(lp[r], cfg.top_k, cfg.top_p, rngs[search])
+        picked[search] = [(search, logprob + float(lp[r, tok]), ids + (tok,), r)]
+    return picked
+
+
+def _search(step: BatchStep, n_searches: int, width: int, max_len: int, eos_id: int,
+            blocker=None, choose=None) -> list[list[Hypothesis]]:
+    """The one search loop: n_searches independent searches of up to
+    `width` live rows each, advanced by one `step` call over all live rows
+    per token. `choose` picks each search's next rows (default: beam).
+
+    A row that emits eos retires into its search's pool. A search stops
+    once its pool holds `width` hypotheses, no candidate is left, or the
+    length limit is hit; its live rows then join the pool unfinished. Each
+    pool is ranked by log-probability over token count.
+    """
+    choose = choose or partial(_beam_choose, width=width)
+    pools: list[list[Hypothesis]] = [[] for _ in range(n_searches)]
+
+    def retire(rows, finished=False):
+        for search, logprob, ids, _ in rows:
+            pools[search].append(Hypothesis(list(ids), logprob, finished))
+
+    live: list[Row] = [(search, 0.0, (), search) for search in range(n_searches)]
+    for _ in range(max_len):
+        lp = step(np.array([row[3] for row in live]), [row[2] for row in live])
+        if blocker is not None:
+            for r, row in enumerate(live):
+                lp[r] = blocker(lp[r], row[2])
+        picked = choose(lp, live)
+        retire(row for row in live if row[0] not in picked)
+        live = []
+        for search, rows in picked.items():
+            retire((row for row in rows if row[2][-1] == eos_id), finished=True)
+            rows = [row for row in rows if row[2][-1] != eos_id]
+            if len(pools[search]) >= width:
+                retire(rows)
+            else:
+                live += rows
+        if not live:
+            break
+    retire(live)
+    for pool in pools:
+        pool.sort(key=lambda h: (-h.score, tuple(h.ids)))
+    return pools
+
+
+def beam_search(step_fn: StepFn, nbeam: int, max_len: int, eos_id: int,
+                blocker=None) -> list[Hypothesis]:
+    """Breadth-limited best-first search over a prefix -> log-probs
+    function: each step keeps the nbeam best extensions of the live beams
+    (`_beam_choose`); the search ends as `_search` describes."""
+    if nbeam < 1:
+        raise ValueError("nbeam must be >= 1")
+    step = lambda parents, prefixes: np.stack([step_fn(p) for p in prefixes])  # noqa: E731
+    return _search(step, 1, nbeam, max_len, eos_id, blocker)[0]
 
 
 def greedy_search(step_fn: StepFn, max_len: int, eos_id: int, blocker=None) -> Hypothesis:
-    """Single-path argmax decoding."""
-    ids: list[int] = []
-    logprob = 0.0
-    for _ in range(max_len):
-        lp = step_fn(tuple(ids))
-        if blocker is not None:
-            lp = blocker(lp, ids)
-        tok = int(lp.argmax())
-        ids.append(tok)
-        logprob += float(lp[tok])
-        if tok == eos_id:
-            return Hypothesis(ids, logprob, True)
-    return Hypothesis(ids, logprob, False)
+    """Single-path argmax decoding: beam search with one beam."""
+    return beam_search(step_fn, 1, max_len, eos_id, blocker)[0]
 
 
-def beam_search(
-    step_fn: StepFn, nbeam: int, max_len: int, eos_id: int, blocker=None
-) -> list[Hypothesis]:
-    """Breadth-limited best-first search.
-
-    Each step expands every live beam over the whole vocabulary, keeps
-    the top nbeam candidates by cumulative log-probability (ties prefer
-    the lexicographically smaller token sequence), and retires finished
-    beams into a pool. Stops once the pool holds nbeam finished
-    hypotheses, the length limit is hit, or no live beam remains. The
-    result is ranked by log-probability over token count.
-    """
-    if nbeam < 1:
-        raise ValueError("nbeam must be >= 1")
-    live: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
-    pool: list[Hypothesis] = []
-    for _ in range(max_len):
-        candidates: list[tuple[float, tuple[int, ...]]] = []
-        for logprob, ids in live:
-            lp = step_fn(ids)
-            if blocker is not None:
-                lp = blocker(lp, ids)
-            for tok in np.flatnonzero(lp > -np.inf):
-                tok = int(tok)
-                candidates.append((logprob + float(lp[tok]), ids + (tok,)))
-        if not candidates:
-            break
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        live = []
-        for logprob, ids in candidates[:nbeam]:
-            if ids[-1] == eos_id:
-                pool.append(Hypothesis(list(ids), logprob, True))
-            else:
-                live.append((logprob, ids))
-        if len(pool) >= nbeam or not live:
-            break
-    for logprob, ids in live:
-        pool.append(Hypothesis(list(ids), logprob, False))
-    pool.sort(key=lambda h: (-h.score, tuple(h.ids)))
-    return pool
-
-
-def sampling_search(
-    step_fn: StepFn, cfg: DecodeConfig, eos_id: int, draw_index: int
-) -> Hypothesis:
+def sampling_search(step_fn: StepFn, cfg: DecodeConfig, eos_id: int,
+                    draw_index: int) -> Hypothesis:
     """One independent sampled sequence, reproducible per (seed, draw)."""
-    rng = np.random.default_rng((cfg.seed, draw_index))
-    blocker = _blocker(cfg)
-    ids: list[int] = []
-    logprob = 0.0
-    for _ in range(cfg.seq_length):
-        lp = step_fn(tuple(ids))
-        lp = blocker(lp, ids)
-        tok = sample_step(lp, cfg.top_k, cfg.top_p, rng)
-        ids.append(tok)
-        logprob += float(lp[tok])
-        if tok == eos_id:
-            return Hypothesis(ids, logprob, True)
-    return Hypothesis(ids, logprob, False)
+    step = lambda parents, prefixes: np.stack([step_fn(p) for p in prefixes])  # noqa: E731
+    choose = partial(_sample_choose, cfg=cfg, rngs=[np.random.default_rng((cfg.seed, draw_index))])
+    blocker = _blocker(cfg.no_repeat_ngram_size)
+    return _search(step, 1, 1, cfg.seq_length, eos_id, blocker, choose)[0][0]
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    m = row.max()
-    e = np.exp(row - m)
-    return row - m - np.log(e.sum())
-
-
-def model_step_fn(model, vocab, source_ids: list[int]) -> StepFn:
-    """Close over one encoded source; maps a generated prefix to next-token
-    log-probs. The decoder input is the prefix shifted behind the start
-    (pad) token."""
-    src = np.asarray([source_ids], dtype=np.int64)
-    mask = np.ones_like(src, dtype=bool)
+def _cached_step(model, vocab, sources: list[list[int]], rows) -> BatchStep:
+    """Encode the sources once as a padded batch and return a step over
+    cached decoder rows; row i starts on source rows[i]. Each call keeps
+    the parents' cache rows and decodes only the newest token of each
+    prefix (the start token, pad, on the first step)."""
+    lengths = np.array([len(s) for s in sources])
+    src = np.array([[*s, *[vocab.pad_id] * (lengths.max() - len(s))] for s in sources],
+                   dtype=np.int64)
+    mask = np.arange(src.shape[1]) < lengths[:, None]
     with no_grad():
         enc = model.encode(src, mask)
+    cache = DecoderCache(rows)
 
-    def step(prefix: tuple[int, ...]) -> np.ndarray:
-        dec = np.asarray([[vocab.pad_id, *prefix]], dtype=np.int64)
+    def step(parents: np.ndarray, prefixes: list[tuple[int, ...]]) -> np.ndarray:
+        cache.reorder(parents)
+        dec = np.asarray([[p[-1] if p else vocab.pad_id] for p in prefixes], dtype=np.int64)
         with no_grad():
-            logits = model.decode_logits(enc, mask, dec)
-        return _log_softmax(logits.data[0, -1].astype(np.float64))
+            logits = model.decode_logits(enc, mask, dec, cache=cache)
+        lp = logits.data[:, -1].astype(np.float64)
+        lp -= lp.max(axis=-1, keepdims=True)
+        return lp - np.log(np.exp(lp).sum(axis=-1, keepdims=True))
 
     return step
 
@@ -231,18 +254,20 @@ def generate(model, vocab, source_ids: list[int], cfg: DecodeConfig) -> list[Hyp
     independent sequences in emission order.
     """
     cfg.validate()
-    step = model_step_fn(model, vocab, source_ids)
-    blocker = _blocker(cfg)
-    eos = vocab.eos_id
     # the decoder context holds the start token plus the generated prefix
     max_len = min(cfg.seq_length, model.config.max_seq_len - 1)
-    if cfg.method == "greedy":
-        return [greedy_search(step, max_len, eos, blocker)]
-    if cfg.method == "beam":
-        hyps = beam_search(step, cfg.nbeam, max_len, eos, blocker)
-        return hyps[: cfg.max_outputs]
-    capped = DecodeConfig(**{**cfg.__dict__, "seq_length": max_len})
-    return [sampling_search(step, capped, eos, i) for i in range(cfg.max_outputs)]
+    blocker = _blocker(cfg.no_repeat_ngram_size)
+    if cfg.method == "sampling":
+        draws = cfg.max_outputs
+        step = _cached_step(model, vocab, [source_ids], [0] * draws)
+        rngs = [np.random.default_rng((cfg.seed, i)) for i in range(draws)]
+        pools = _search(step, draws, 1, max_len, vocab.eos_id, blocker,
+                        partial(_sample_choose, cfg=cfg, rngs=rngs))
+        return [pool[0] for pool in pools]
+    nbeam = 1 if cfg.method == "greedy" else cfg.nbeam
+    step = _cached_step(model, vocab, [source_ids], [0])
+    hyps = _search(step, 1, nbeam, max_len, vocab.eos_id, blocker)[0]
+    return hyps[: 1 if cfg.method == "greedy" else cfg.max_outputs]
 
 
 def greedy_decode_batch(
@@ -255,37 +280,7 @@ def greedy_decode_batch(
     if not sources:
         return []
     max_len = min(max_len, model.config.max_seq_len - 1)
-    b = len(sources)
-    src_len = max(len(s) for s in sources)
-    src = np.full((b, src_len), vocab.pad_id, dtype=np.int64)
-    mask = np.zeros((b, src_len), dtype=bool)
-    for i, s in enumerate(sources):
-        src[i, : len(s)] = s
-        mask[i, : len(s)] = True
-    with no_grad():
-        enc = model.encode(src, mask)
-    dec = np.full((b, 1), vocab.pad_id, dtype=np.int64)
-    done = np.zeros(b, dtype=bool)
-    outputs: list[list[int]] = [[] for _ in range(b)]
-    for _ in range(max_len):
-        with no_grad():
-            logits = model.decode_logits(enc, mask, dec)
-        rows = logits.data[:, -1, :].astype(np.float64)
-        next_tok = np.empty(b, dtype=np.int64)
-        for i in range(b):
-            if done[i]:
-                next_tok[i] = vocab.pad_id
-                continue
-            lp = rows[i]
-            if no_repeat_ngram_size:
-                lp = block_repeat_ngrams(lp, outputs[i], no_repeat_ngram_size)
-            tok = int(lp.argmax())
-            next_tok[i] = tok
-            if tok == vocab.eos_id:
-                done[i] = True
-            else:
-                outputs[i].append(tok)
-        if done.all():
-            break
-        dec = np.concatenate([dec, next_tok[:, None]], axis=1)
-    return outputs
+    step = _cached_step(model, vocab, sources, np.arange(len(sources)))
+    blocker = _blocker(no_repeat_ngram_size)
+    pools = _search(step, len(sources), 1, max_len, vocab.eos_id, blocker)
+    return [h.ids[:-1] if h.finished else h.ids for (h,) in pools]

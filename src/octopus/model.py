@@ -163,21 +163,78 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a save_checkpoint file; a truncated or malformed file raises
+    ValueError naming what is wrong."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a checkpoint file (bad magic {magic!r})")
-        (blob_len,) = struct.unpack("<I", f.read(4))
-        manifest = json.loads(f.read(blob_len).decode("utf-8"))
+        header = f.read(4)
+        if len(header) != 4:
+            raise ValueError(f"{path} is truncated: no manifest length")
+        (blob_len,) = struct.unpack("<I", header)
+        blob = f.read(blob_len)
+        if len(blob) != blob_len:
+            raise ValueError(f"{path} is truncated: manifest cut short")
+        manifest = json.loads(blob.decode("utf-8"))
         data = f.read()
+    if not isinstance(manifest, list):
+        raise ValueError(f"{path} has a malformed manifest")
     arrays = {}
     for entry in manifest:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        try:
+            name, start = entry["name"], entry["offset"]
+            shape = tuple(entry["shape"])
+            count = math.prod(shape)
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"{path} has a malformed manifest entry {entry!r}") from e
+        if (not isinstance(start, int) or start < 0
+                or not all(isinstance(n, int) and n >= 0 for n in shape)
+                or start + 4 * count > len(data)):
+            raise ValueError(f"{path} is truncated or corrupt at tensor {name!r}")
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(shape).copy()
+        arrays[name] = arr.reshape(shape).copy()
     return arrays
+
+
+class DecoderCache:
+    """Keys and values of the decoder positions seen so far, for
+    incremental decoding with `Seq2SeqTransformer.decode_logits`.
+
+    Decoder row i reads encoder row `rows[i]`, so one encoded source can
+    feed several rows (beams, sampled draws). Self-attention keys and
+    values gain a position per decoded token; cross-attention keys and
+    values are projected from the encoder states on the first call and
+    afterwards only reordered. Inference only: cached arrays carry no
+    gradient.
+    """
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.length = 0  # decoder positions held
+        self.kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # attention -> (B, H, L, dh) k, v
+
+    def store(self, name: str, k: np.ndarray, v: np.ndarray, append: bool):
+        """Keep an attention's keys and values; return all it now holds.
+
+        Self-attention (append) adds the new positions after the cached
+        ones. Cross-attention keys and values, projected once per encoder
+        row, are copied to every decoder row that reads that source.
+        """
+        if not append:
+            k, v = k[self.rows], v[self.rows]
+        elif name in self.kv:
+            k, v = (np.concatenate([old, new], axis=2) for old, new in zip(self.kv[name], (k, v)))
+        self.kv[name] = (k, v)
+        return k, v
+
+    def reorder(self, parents):
+        """Make old row parents[i] the new row i; rows may repeat or drop."""
+        parents = np.asarray(parents, dtype=np.int64)
+        if len(parents) == len(self.rows) and (parents == np.arange(len(parents))).all():
+            return
+        self.rows = self.rows[parents]
+        self.kv = {name: (k[parents], v[parents]) for name, (k, v) in self.kv.items()}
 
 
 class Seq2SeqTransformer:
@@ -194,7 +251,7 @@ class Seq2SeqTransformer:
         self.params = params if params is not None else init_params(config, seed, dtype)
         self.training = False
         self._rng = np.random.default_rng(0)
-        self._bucket_cache: dict[tuple, np.ndarray] = {}
+        self._buckets: dict[str, np.ndarray] = {}  # stack -> (max_seq_len, max_seq_len)
 
     def set_train(self, training: bool, rng: np.random.Generator | None = None):
         self.training = training
@@ -238,38 +295,53 @@ class Seq2SeqTransformer:
                 f"{name} length {ids.shape[1]} exceeds max_seq_len {self.config.max_seq_len}"
             )
 
-    def _relpos_bias(self, stack: str, q_len: int, k_len: int) -> Tensor:
-        bidirectional = stack == "encoder"
-        key = (stack, q_len, k_len)
-        if key not in self._bucket_cache:
-            self._bucket_cache[key] = _bucket_matrix(
-                q_len, k_len, bidirectional,
+    def _relpos_bias(self, stack: str, q_start: int, q_len: int, k_len: int) -> Tensor:
+        """Bias for query positions q_start..q_start+q_len over keys 0..k_len,
+        sliced from one bucket matrix per stack."""
+        if stack not in self._buckets:
+            n = self.config.max_seq_len
+            self._buckets[stack] = _bucket_matrix(
+                n, n, stack == "encoder",
                 self.config.relpos_num_buckets, self.config.relpos_max_distance,
             )
-        buckets = self._bucket_cache[key]
+        buckets = self._buckets[stack][q_start:q_start + q_len, :k_len]
         table = self.params[f"{stack}.relpos"]  # (H, num_buckets)
         by_bucket = T.transpose(table, (1, 0))  # (num_buckets, H)
         bias = T.take(by_bucket, buckets)  # (q, k, H)
         bias = T.transpose(bias, (2, 0, 1))
         return T.reshape(bias, (1, self.config.n_heads) + buckets.shape)
 
-    def _attention(self, x_q: Tensor, x_kv: Tensor, base: str,
-                   mask_add: np.ndarray | None, bias: Tensor | None) -> Tensor:
+    def _heads(self, x: Tensor, weight: str) -> Tensor:
+        """Project (B, L, d_model) and split heads: (B, H, L, d_head)."""
         cfg = self.config
-        h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+        y = T.matmul(x, self.params[weight])
+        y = T.reshape(y, (x.shape[0], x.shape[1], cfg.n_heads, cfg.d_model // cfg.n_heads))
+        return T.transpose(y, (0, 2, 1, 3))
+
+    def _attention(self, x_q: Tensor, x_kv: Tensor, base: str,
+                   mask_add: np.ndarray | None, bias: Tensor | None,
+                   cache: DecoderCache | None = None) -> Tensor:
+        """Multi-head attention of x_q over x_kv.
+
+        With a cache, self-attention (x_kv is x_q) appends the new keys and
+        values to the cached ones; cross-attention projects x_kv once and
+        then reads the cache, ignoring x_kv.
+        """
+        cfg = self.config
         b, lq = x_q.shape[0], x_q.shape[1]
-        lk = x_kv.shape[1]
-
-        def heads(x, w, length):
-            y = T.matmul(x, self.params[f"{base}.{w}"])
-            y = T.reshape(y, (b, length, h, dh))
-            return T.transpose(y, (0, 2, 1, 3))
-
-        q = heads(x_q, "wq", lq)
-        k = heads(x_kv, "wk", lk)
-        v = heads(x_kv, "wv", lk)
+        q = self._heads(x_q, f"{base}.wq")
+        cross = x_kv is not x_q
+        if cache is not None and cross and base in cache.kv:
+            k, v = (Tensor(a, dtype=a.dtype) for a in cache.kv[base])
+        else:
+            k = self._heads(x_kv, f"{base}.wk")
+            v = self._heads(x_kv, f"{base}.wv")
+            if cache is not None:
+                k, v = (Tensor(a, dtype=a.dtype)
+                        for a in cache.store(base, k.data, v.data, append=not cross))
         # scaled dot-product keeps init-time logits near unit variance,
         # which matters for trainability at desk scale
+        dh = cfg.d_model // cfg.n_heads
         scores = T.matmul(T.mul(q, 1.0 / math.sqrt(dh)), T.transpose(k, (0, 1, 3, 2)))
         if bias is not None:
             scores = T.add(scores, bias)
@@ -305,7 +377,8 @@ class Seq2SeqTransformer:
         x = T.take(self.params["shared.embedding"], ids)
         x = self._dropout(x)
         mask_add = self._key_mask_add(mask, x.data.dtype)
-        bias = self._relpos_bias("encoder", ids.shape[1], ids.shape[1]) if cfg.n_enc_layers else None
+        length = ids.shape[1]
+        bias = self._relpos_bias("encoder", 0, length, length) if cfg.n_enc_layers else None
         for i in range(cfg.n_enc_layers):
             base = f"encoder.block{i}"
             h = T.rms_norm(x, self.params[f"{base}.attn.norm"])
@@ -315,34 +388,51 @@ class Seq2SeqTransformer:
         x = T.rms_norm(x, self.params["encoder.final_norm"])
         return self._dropout(x)
 
-    def decode_logits(self, enc_hidden: Tensor, enc_mask, dec_ids) -> Tensor:
-        """Teacher-forced decoder logits, shape (B, T, vocab_size).
+    def decode_logits(self, enc_hidden: Tensor, enc_mask, dec_ids,
+                      cache: DecoderCache | None = None) -> Tensor:
+        """Decoder logits, shape (B, T, vocab_size).
 
         Causal self-attention (position t attends <= t) plus cross
         attention into the encoder states; the readout is tied to the
         shared embedding and rescaled by 1/sqrt(d_model).
+
+        Without a cache, dec_ids is the whole decoder input (teacher
+        forcing). With a DecoderCache, dec_ids holds only the next T
+        positions of each cached row; their keys and values are appended
+        to the cache, and enc_hidden/enc_mask are indexed by `cache.rows`.
         """
         dec_ids = np.asarray(dec_ids, dtype=np.int64)
-        enc_mask = np.asarray(enc_mask, dtype=bool)
         self._check_ids(dec_ids, "decoder ids")
         cfg = self.config
+        start = cache.length if cache is not None else 0
         t_len = dec_ids.shape[1]
+        end = start + t_len
+        if end > cfg.max_seq_len:
+            raise ValueError(f"decoder length {end} exceeds max_seq_len {cfg.max_seq_len}")
         emb = self.params["shared.embedding"]
         x = T.take(emb, dec_ids)
         x = self._dropout(x)
         dt = x.data.dtype
-        causal = np.triu(np.full((1, 1, t_len, t_len), -np.inf, dtype=dt), k=1)
+        # a single query row may see every key, so it needs no causal mask
+        causal = (np.triu(np.full((1, 1, t_len, end), -np.inf, dtype=dt), k=1 + start)
+                  if t_len > 1 else None)
+        enc_mask = np.asarray(enc_mask, dtype=bool)
+        if cache is not None:
+            enc_mask = enc_mask[cache.rows]
         cross_mask = self._key_mask_add(enc_mask, dt)
-        bias = self._relpos_bias("decoder", t_len, t_len) if cfg.n_dec_layers else None
+        bias = self._relpos_bias("decoder", start, t_len, end) if cfg.n_dec_layers else None
         for i in range(cfg.n_dec_layers):
             base = f"decoder.block{i}"
             h = T.rms_norm(x, self.params[f"{base}.attn.norm"])
-            x = T.add(x, self._dropout(self._attention(h, h, f"{base}.attn", causal, bias)))
+            x = T.add(x, self._dropout(
+                self._attention(h, h, f"{base}.attn", causal, bias, cache)))
             h = T.rms_norm(x, self.params[f"{base}.cross.norm"])
             x = T.add(x, self._dropout(
-                self._attention(h, enc_hidden, f"{base}.cross", cross_mask, None)))
+                self._attention(h, enc_hidden, f"{base}.cross", cross_mask, None, cache)))
             h = T.rms_norm(x, self.params[f"{base}.ff.norm"])
             x = T.add(x, self._dropout(self._ff(h, f"{base}.ff")))
+        if cache is not None:
+            cache.length = end
         x = T.rms_norm(x, self.params["decoder.final_norm"])
         x = self._dropout(x)
         x = T.mul(x, 1.0 / math.sqrt(cfg.d_model))

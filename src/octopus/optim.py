@@ -63,9 +63,3 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
             p.data.dtype
         )
     return state
-
-
-def zero_grads(params: dict[str, Tensor]):
-    """Explicit gradient reset; backward() accumulates otherwise."""
-    for p in params.values():
-        p.grad = None

@@ -208,10 +208,10 @@ def transpose(x: Tensor, axes) -> Tensor:
     x = _as_tensor(x)
     axes = tuple(axes)
     data = x.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
 
     def vjp(g):
-        return (g.transpose(inverse),)
+        # the inverse permutation is only needed here; inference never pays for it
+        return (g.transpose(np.argsort(axes)),)
 
     return _make(data, (x,), vjp)
 

@@ -143,6 +143,19 @@ def test_run_batch_missing_model_exits_1(tmp_path):
     assert "cannot load model" in err.getvalue()
 
 
+def test_run_batch_truncated_model_exits_1(checkpoint, tmp_path):
+    import shutil
+
+    root = tmp_path / "best"
+    shutil.copytree(checkpoint, root)
+    model = root / "model.octo"
+    model.write_bytes(model.read_bytes()[:7])
+    args = parse_args(["-p", "diacritize", "-t", "x", "--model-path", str(root)])
+    err = io.StringIO()
+    assert run_batch(args, stdout=io.StringIO(), stderr=err) == 1
+    assert "cannot load model" in err.getvalue() and "truncated" in err.getvalue()
+
+
 def test_run_batch_writes_logging_file(checkpoint, tmp_path):
     log = tmp_path / "run.log"
     args = parse_args(["-p", "diacritize", "-t", "ab", "-s", "6",
@@ -151,6 +164,27 @@ def test_run_batch_writes_logging_file(checkpoint, tmp_path):
     content = log.read_text(encoding="utf-8")
     assert "prefix=diacritize" in content
     assert "wallclock_ms=" in content
+
+
+def test_run_batch_unwritable_logging_file_exits_1(checkpoint, tmp_path):
+    args = parse_args(["-p", "diacritize", "-t", "ab", "-s", "6",
+                       "-l", str(tmp_path / "no" / "such" / "dir" / "log.txt"),
+                       "--model-path", str(checkpoint)])
+    out, err = io.StringIO(), io.StringIO()
+    assert run_batch(args, stdout=out, stderr=err) == 1
+    assert "cannot open logging file" in err.getvalue()
+    assert out.getvalue() == ""
+
+
+def test_repl_bad_decode_config_exits_2(tmp_path):
+    # -o 9 with the default beam of 5 is a usage error, caught before loading
+    args = parse_args(["-o", "9", "--model-path", str(tmp_path / "nope")],
+                      mode="interactive")
+    out, err = io.StringIO(), io.StringIO()
+    assert repl_loop(args, stdin=io.StringIO("diacritize\nab\nq\n"),
+                     stdout=out, stderr=err) == 2
+    assert err.getvalue().startswith("error: nbeam must be >= max_outputs")
+    assert out.getvalue() == ""
 
 
 def test_repl_scripted_session(checkpoint):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from octopus import DecodeConfig, beam_search, block_repeat_ngrams, generate, sample_step
-from octopus.decoding import greedy_search, sampling_search
+from octopus.decoding import greedy_decode_batch, greedy_search, sampling_search
+from octopus.tensor import no_grad
 from octopus.vocab import build_vocab
 from octopus import ModelConfig, Seq2SeqTransformer
 
@@ -220,3 +221,91 @@ def test_generate_sampling_count_and_reproducible(tiny_setup):
     b = generate(model, vocab, vocab.encode("ab"), cfg)
     assert len(a) == 3
     assert [h.ids for h in a] == [h.ids for h in b]
+
+
+@pytest.fixture(scope="module")
+def f64_setup():
+    vocab = build_vocab(["abcdef"], max_size=40, sentinels=4)
+    cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=16, n_heads=2, d_ff=32,
+                      n_enc_layers=1, n_dec_layers=2, dropout_rate=0.0, max_seq_len=24)
+    models = [Seq2SeqTransformer(cfg, seed=seed, dtype=np.float64) for seed in range(4)]
+    return models, vocab, [vocab.encode(t) for t in ("abc", "f", "edcba", "bb")]
+
+
+def _full_prefix_step(model, vocab, source):
+    """prefix -> next-token log-probs, re-running the whole prefix uncached."""
+    src = np.asarray([source])
+    mask = np.ones_like(src, dtype=bool)
+    with no_grad():
+        enc = model.encode(src, mask)
+
+    def step(prefix):
+        with no_grad():
+            logits = model.decode_logits(enc, mask, np.asarray([[vocab.pad_id, *prefix]]))
+        row = logits.data[0, -1]
+        return row - row.max() - np.log(np.exp(row - row.max()).sum())
+
+    return step
+
+
+def _reference_beam(step, nbeam, max_len, eos_id, ngram):
+    """Per-beam beam search: one model call per live beam per step."""
+    live, pool = [(0.0, ())], []
+    for _ in range(max_len):
+        cands = []
+        for logprob, ids in live:
+            lp = block_repeat_ngrams(step(ids), ids, ngram)
+            cands += [(logprob + lp[t], ids + (t,)) for t in range(len(lp)) if lp[t] > -np.inf]
+        cands.sort(key=lambda c: (-c[0], c[1]))
+        live = []
+        for logprob, ids in cands[:nbeam]:
+            (pool if ids[-1] == eos_id else live).append((logprob, ids))
+        if len(pool) >= nbeam or not live:
+            break
+    hyps = [(lp, ids, True) for lp, ids in pool] + [(lp, ids, False) for lp, ids in live]
+    hyps.sort(key=lambda h: (-h[0] / len(h[1]), h[1]))
+    return hyps
+
+
+def test_batched_beam_matches_per_beam_reference(f64_setup):
+    models, vocab, sources = f64_setup
+    finished = capped = 0
+    for model in models:
+        for src in sources:
+            for nbeam, ngram in ((5, 0), (3, 2)):
+                cfg = DecodeConfig(method="beam", nbeam=nbeam, max_outputs=nbeam,
+                                   seq_length=12, no_repeat_ngram_size=ngram)
+                got = generate(model, vocab, src, cfg)
+                want = _reference_beam(_full_prefix_step(model, vocab, src), nbeam, 12,
+                                       vocab.eos_id, ngram)[:nbeam]
+                assert [h.ids for h in got] == [list(ids) for _, ids, _ in want]
+                assert [h.finished for h in got] == [f for _, _, f in want]
+                assert np.allclose([h.logprob for h in got], [lp for lp, _, _ in want],
+                                   rtol=0, atol=1e-9)
+                finished += sum(h.finished for h in got)
+                capped += sum(not h.finished for h in got)
+    assert finished and capped  # both ways a hypothesis can end are covered
+
+
+def test_greedy_decode_batch_matches_one_source_greedy(f64_setup):
+    models, vocab, sources = f64_setup  # sources differ in length: padded rows
+    for model in models:
+        for ngram in (0, 2):
+            batch = greedy_decode_batch(model, vocab, sources, 12, ngram)
+            for src, ids in zip(sources, batch):
+                cfg = DecodeConfig(method="greedy", seq_length=12, no_repeat_ngram_size=ngram)
+                (hyp,) = generate(model, vocab, src, cfg)
+                assert ids == (hyp.ids[:-1] if hyp.finished else hyp.ids)
+
+
+def test_batched_sampling_matches_per_draw_sampling(f64_setup):
+    models, vocab, sources = f64_setup
+    for model in models[:2]:
+        for src in sources:
+            cfg = DecodeConfig(method="sampling", max_outputs=3, seq_length=10, top_k=6, seed=5)
+            got = generate(model, vocab, src, cfg)
+            step = _full_prefix_step(model, vocab, src)
+            for draw, hyp in enumerate(got):
+                want = sampling_search(step, cfg, vocab.eos_id, draw)
+                assert hyp.ids == want.ids and hyp.finished == want.finished
+                assert abs(hyp.logprob - want.logprob) < 1e-9

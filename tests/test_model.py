@@ -3,6 +3,7 @@ import pytest
 
 from octopus import ModelConfig, Seq2SeqTransformer
 from octopus.model import (
+    DecoderCache,
     load_checkpoint,
     relative_position_bucket,
     save_checkpoint,
@@ -10,7 +11,7 @@ from octopus.model import (
 )
 from octopus.tensor import no_grad, rms_norm, take
 
-from helpers import tiny_model
+from helpers import tiny_batch, tiny_model
 
 
 def test_config_validation():
@@ -186,6 +187,125 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE!" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "m.octo"
+    save_checkpoint(path, {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                           "b": np.ones(4, dtype=np.float32)})
+    return path
+
+
+def test_checkpoint_truncated_header(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    for cut in (7, 12):  # inside the manifest length, inside the manifest
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_truncated_payload(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:-4])  # the last float of "b"
+    with pytest.raises(ValueError, match="'b'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_manifest_outside_payload(tmp_path):
+    import json
+    import struct
+
+    data = np.zeros(4, dtype="<f4").tobytes()
+    for entry in ({"name": "x", "shape": [2], "offset": 12},
+                  {"name": "x", "shape": [-1], "offset": 0},
+                  {"name": "x", "shape": [2]}):
+        blob = json.dumps([entry]).encode()
+        path = tmp_path / "bad.octo"
+        path.write_bytes(b"OCTO1" + struct.pack("<I", len(blob)) + blob + data)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+
+def _biased_model():
+    """float64 tiny model whose relative-position tables are not zero."""
+    model = tiny_model(dtype=np.float64)
+    rng = np.random.default_rng(8)
+    for stack in ("encoder", "decoder"):
+        table = model.params[f"{stack}.relpos"]
+        table.data = rng.standard_normal(table.shape)
+    return model
+
+
+def _cached_logits(model, enc, mask, dec, rows, chunks):
+    """Feed dec to a DecoderCache in column chunks; concatenated logits."""
+    cache = DecoderCache(rows)
+    out, pos = [], 0
+    for n in chunks:
+        out.append(model.decode_logits(enc, mask, dec[:, pos:pos + n], cache=cache).data)
+        pos += n
+    assert cache.length == pos
+    return np.concatenate(out, axis=1)
+
+
+def test_cached_decode_matches_uncached():
+    model = _biased_model()
+    batch = tiny_batch()  # the second source row is padded
+    rng = np.random.default_rng(4)
+    dec = np.concatenate([np.zeros((2, 1), dtype=np.int64),
+                          rng.integers(2, 16, size=(2, 14))], axis=1)
+    with no_grad():
+        enc = model.encode(batch.enc_ids, batch.enc_mask)
+        full = model.decode_logits(enc, batch.enc_mask, dec).data
+        for chunks in ([1] * 15, [4, 1, 7, 3]):
+            cached = _cached_logits(model, enc, batch.enc_mask, dec, [0, 1], chunks)
+            assert np.abs(cached - full).max() < 1e-6
+
+
+def test_cache_rows_select_sources():
+    # decoder rows 0 and 2 read source 1, row 1 reads source 0
+    model = _biased_model()
+    batch = tiny_batch()
+    dec = np.array([[0, 5, 6], [0, 7, 8], [0, 9, 9]])
+    with no_grad():
+        enc = model.encode(batch.enc_ids, batch.enc_mask)
+        cached = _cached_logits(model, enc, batch.enc_mask, dec, [1, 0, 1], [1, 1, 1])
+        for row, src in enumerate([1, 0, 1]):
+            mask = batch.enc_mask[src:src + 1]
+            one = model.encode(batch.enc_ids[src:src + 1], mask)
+            want = model.decode_logits(one, mask, dec[row:row + 1]).data[0]
+            assert np.abs(cached[row] - want).max() < 1e-6
+
+
+def test_cache_reorder_matches_uncached_prefixes():
+    model = _biased_model()
+    batch = tiny_batch()
+    dec = np.array([[0, 5, 6], [0, 7, 8]])
+    parents = [1, 1, 0]  # row 1 duplicated, row 0 moved last
+    nxt = np.array([[9], [10], [11]])
+    with no_grad():
+        enc = model.encode(batch.enc_ids, batch.enc_mask)
+        cache = DecoderCache([0, 1])
+        model.decode_logits(enc, batch.enc_mask, dec, cache=cache)
+        cache.reorder(parents)
+        assert list(cache.rows) == [1, 1, 0]
+        step = model.decode_logits(enc, batch.enc_mask, nxt, cache=cache).data[:, -1]
+        src = np.asarray(parents)
+        ref_enc = model.encode(batch.enc_ids[src], batch.enc_mask[src])
+        ref = model.decode_logits(ref_enc, batch.enc_mask[src],
+                                  np.concatenate([dec[src], nxt], axis=1)).data[:, -1]
+    assert np.abs(step - ref).max() < 1e-6
+
+
+def test_cache_beyond_max_seq_len_errors():
+    model = _biased_model()  # max_seq_len 16
+    batch = tiny_batch()
+    with no_grad():
+        enc = model.encode(batch.enc_ids, batch.enc_mask)
+        cache = DecoderCache([0, 1])
+        model.decode_logits(enc, batch.enc_mask, np.zeros((2, 16), dtype=np.int64), cache=cache)
+        with pytest.raises(ValueError, match="max_seq_len"):
+            model.decode_logits(enc, batch.enc_mask, np.zeros((2, 1), dtype=np.int64),
+                                cache=cache)
 
 
 def test_model_save_load_identical_logits(tmp_path):

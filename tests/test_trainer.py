@@ -233,14 +233,21 @@ class _ScriptedModel:
             self._scripts.append(self.mapping[key] + [self.vocab.eos_id])
         return Tensor(np.zeros((len(self._scripts), 1, 1)))
 
-    def decode_logits(self, enc_hidden, enc_mask, dec_ids):
+    def decode_logits(self, enc_hidden, enc_mask, dec_ids, cache=None):
+        # with a DecoderCache, dec_ids holds the next positions of each
+        # cached row, and row i decodes source cache.rows[i]
         dec = np.asarray(dec_ids)
         b, t = dec.shape
+        start = cache.length if cache is not None else 0
+        rows = cache.rows if cache is not None else range(b)
         logits = np.full((b, t, self.config.vocab_size), -10.0, dtype=np.float32)
-        for i, script in enumerate(self._scripts):
-            for pos in range(t):
+        for i, src in enumerate(rows):
+            script = self._scripts[src]
+            for pos in range(start, start + t):
                 want = script[pos] if pos < len(script) else self.vocab.eos_id
-                logits[i, pos, want] = 10.0
+                logits[i, pos - start, want] = 10.0
+        if cache is not None:
+            cache.length = start + t
         return Tensor(logits)
 
 
