@@ -1,33 +1,42 @@
-"""Desk-scale multitask text-to-text transformer toolkit."""
+"""Desk-scale multitask text-to-text transformer toolkit.
 
-from .decoding import DecodeConfig, Hypothesis, beam_search, block_repeat_ngrams, generate, sample_step
-from .metrics import (
-    EditSet,
-    MetricReport,
-    bleu,
-    cer,
-    diacritization_fidelity,
-    m2_f05,
-    macro_scores,
-    rouge_l,
-    token_f1,
-)
-from .model import ModelConfig, Seq2SeqTransformer, relative_position_bucket
-from .objectives import DenoisingConfig, Seq2SeqBatch, corrupt_spans, make_batch, splice
-from .optim import AdamState, adam_step
-from .tasks import Example, TaskSpec, format_input, load_jsonl, synth_cipher, synth_devowel
-from .tensor import Tensor, backward, cross_entropy, matmul, no_grad, rms_norm, softmax
-from .trainer import (
-    CheckpointMeta,
-    Datasets,
-    TaskData,
-    TaskMixer,
-    TrainConfig,
-    evaluate_dev,
-    sample_task_batch,
-    select_best_checkpoint,
-    train,
-)
-from .vocab import Vocabulary, build_vocab
+The names below load on first use (PEP 562), so `import octopus.cli` pulls
+in only the modules the command line needs, not the training stack.
+"""
 
+from importlib import import_module
+
+_EXPORTS = {
+    "decoding": ("DecodeConfig", "Hypothesis", "beam_search", "block_repeat_ngrams",
+                 "generate", "sample_step"),
+    "metrics": ("EditSet", "MetricReport", "bleu", "cer", "diacritization_fidelity",
+                "m2_f05", "macro_scores", "rouge_l", "token_f1"),
+    "model": ("ModelConfig", "Seq2SeqTransformer", "relative_position_bucket"),
+    "objectives": ("DenoisingConfig", "Seq2SeqBatch", "corrupt_spans", "make_batch", "splice"),
+    "optim": ("AdamState", "adam_step"),
+    "tasks": ("Example", "TaskSpec", "format_input", "load_jsonl", "synth_cipher",
+              "synth_devowel"),
+    "tensor": ("Tensor", "backward", "cross_entropy", "matmul", "no_grad", "rms_norm",
+               "softmax"),
+    "trainer": ("CheckpointMeta", "Datasets", "TaskData", "TaskMixer", "TrainConfig",
+                "evaluate_dev", "sample_task_batch", "select_best_checkpoint", "train"),
+    "vocab": ("Vocabulary", "build_vocab"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        # submodules (`from octopus import trainer`) are found by the import system
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})

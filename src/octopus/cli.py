@@ -1,8 +1,8 @@
 """Command-line surface: the main batch command, the interactive REPL, and
 one thin command per task prefix.
 
-Exit codes: 0 success, 1 I/O failure (unreadable input, missing model),
-2 usage error.
+Exit codes: 0 success, 1 input or I/O failure (unreadable input, an input
+longer than the model accepts, missing or corrupt model), 2 usage error.
 """
 
 from __future__ import annotations
@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
-from .decoding import DecodeConfig, generate, greedy_decode_batch
+from .decoding import DecodeConfig, generate, generate_batch
 from .model import ModelConfig, Seq2SeqTransformer
 from .tasks import PREFIXES, normalize_prefix
 from .vocab import Vocabulary
@@ -82,28 +83,13 @@ def parse_args(argv: list[str], mode: str = "batch", prog: str = "octopus") -> C
     """Validated CliArgs; argparse handles usage errors with exit code 2."""
     parser = _build_parser(prog, mode)
     ns = parser.parse_args(argv)
-    prefix = getattr(ns, "prefix", None)
-    if prefix is not None:
+    values = {f.name: getattr(ns, f.name, None) for f in fields(CliArgs)}
+    if values["prefix"] is not None:
         try:
-            prefix = normalize_prefix(prefix)
+            values["prefix"] = normalize_prefix(values["prefix"])
         except ValueError as e:
             parser.error(str(e))
-    return CliArgs(
-        cache_dir=ns.cache_dir,
-        logging_file=ns.logging_file,
-        prefix=prefix,
-        text=getattr(ns, "text", None),
-        input_file=getattr(ns, "input_file", None),
-        max_outputs=ns.max_outputs,
-        batch_size=ns.batch_size,
-        seq_length=ns.seq_length,
-        search_method=ns.search_method,
-        nbeam=ns.nbeam,
-        no_repeat_ngram_size=ns.no_repeat_ngram_size,
-        top_k=ns.top_k,
-        top_p=ns.top_p,
-        model_path=ns.model_path,
-    )
+    return CliArgs(**values)
 
 
 def load_toolkit(model_path: str) -> tuple[Seq2SeqTransformer, Vocabulary]:
@@ -131,20 +117,20 @@ def _decode_config(args: CliArgs) -> DecodeConfig:
     return cfg
 
 
+def _encode(model, vocab, prefix: str, text: str) -> list[int]:
+    """Source ids of one input; ValueError if the model cannot take them."""
+    ids, limit = vocab.encode(f"{prefix}: {text}"), model.config.max_seq_len
+    if len(ids) > limit:
+        raise ValueError(f"input is {len(ids)} tokens, the model accepts at most {limit}")
+    return ids
+
+
 def _generate_all(model, vocab, texts: list[str], prefix: str,
                   cfg: DecodeConfig, batch_size: int) -> list[list[str]]:
-    """Hypothesis texts per input; greedy runs batched, the rest per input."""
-    sources = [vocab.encode(f"{prefix}: {text}") for text in texts]
-    if cfg.method == "greedy":
-        chunk = max(batch_size, 1)
-        out: list[list[str]] = []
-        for lo in range(0, len(sources), chunk):
-            ids = greedy_decode_batch(model, vocab, sources[lo:lo + chunk],
-                                      cfg.seq_length, cfg.no_repeat_ngram_size)
-            out.extend([vocab.decode(row)] for row in ids)
-        return out
-    return [[vocab.decode(h.ids) for h in generate(model, vocab, src, cfg)]
-            for src in sources]
+    """Hypothesis texts per input, decoded batch_size sources at a time."""
+    sources = [_encode(model, vocab, prefix, text) for text in texts]
+    return [[vocab.decode(h.ids) for h in hyps]
+            for hyps in generate_batch(model, vocab, sources, cfg, batch_size)]
 
 
 def run_batch(args: CliArgs, stdout=None, stderr=None) -> int:
@@ -158,11 +144,11 @@ def run_batch(args: CliArgs, stdout=None, stderr=None) -> int:
         print(f"error: {e}", file=stderr)
         return 2
     if args.text is not None:
-        texts = [args.text]
+        lines = [(1, args.text)]
     else:
         try:
             with open(args.input_file, encoding="utf-8") as f:
-                texts = [line.rstrip("\n") for line in f if line.strip()]
+                lines = [(n, line.rstrip("\n")) for n, line in enumerate(f, 1) if line.strip()]
         except OSError as e:
             print(f"error: cannot read input file: {e}", file=stderr)
             return 1
@@ -171,6 +157,13 @@ def run_batch(args: CliArgs, stdout=None, stderr=None) -> int:
     except (OSError, ValueError) as e:
         print(f"error: cannot load model from {args.model_path}: {e}", file=stderr)
         return 1
+    for n, text in lines:
+        try:
+            _encode(model, vocab, args.prefix, text)
+        except ValueError as e:
+            print(f"error: line {n}: {e}", file=stderr)
+            return 1
+    texts = [text for _, text in lines]
 
     log = None
     if args.logging_file:
@@ -219,11 +212,13 @@ def repl_loop(args: CliArgs, stdin=None, stdout=None, stderr=None) -> int:
     stdout.write("Octopus Interactive CLI\n")
     stdout.write(f"Loading model from {args.model_path}\n")
 
+    n = 0  # stdin lines read so far
     tasks: list[str] | None = None
     while tasks is None:
         stdout.write("Type your task(s):\n")
         stdout.flush()
         line = stdin.readline()
+        n += 1
         if not line:
             return 0
         names = [part for part in (s.strip() for s in line.split(",")) if part]
@@ -239,6 +234,7 @@ def repl_loop(args: CliArgs, stdin=None, stdout=None, stderr=None) -> int:
         stdout.write("Type your source text or (q) to STOP:\n")
         stdout.flush()
         line = stdin.readline()
+        n += 1
         if not line:
             return 0
         text = line.strip()
@@ -249,7 +245,12 @@ def repl_loop(args: CliArgs, stdin=None, stdout=None, stderr=None) -> int:
         current = text
         hyps: list[str] = [current]
         for task in tasks:
-            source = vocab.encode(f"{task}: {current}")
+            try:
+                source = _encode(model, vocab, task, current)
+            except ValueError as e:
+                print(f"error: line {n}: {e}", file=stderr)
+                hyps = []
+                break
             results = generate(model, vocab, source, cfg)
             hyps = [vocab.decode(h.ids) for h in results]
             current = hyps[0]
@@ -270,47 +271,16 @@ def interactive_main(argv: list[str] | None = None) -> int:
     return repl_loop(args)
 
 
-def _task_main(prefix: str, argv: list[str] | None) -> int:
+def _task_main(prefix: str, argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv,
                       mode="task", prog=f"octopus-{prefix}")
     args.prefix = prefix
     return run_batch(args)
 
 
-def main_diacritize(argv=None):
-    return _task_main("diacritize", argv)
-
-
-def main_correct_grammar(argv=None):
-    return _task_main("correct_grammar", argv)
-
-
-def main_paraphrase(argv=None):
-    return _task_main("paraphrase", argv)
-
-
-def main_answer_question(argv=None):
-    return _task_main("answer_question", argv)
-
-
-def main_generate_question(argv=None):
-    return _task_main("generate_question", argv)
-
-
-def main_summarize(argv=None):
-    return _task_main("summarize", argv)
-
-
-def main_generate_title(argv=None):
-    return _task_main("generate_title", argv)
-
-
-def main_translitrate_ar2en(argv=None):
-    return _task_main("translitrate_ar2en", argv)
-
-
-def main_translitrate_en2ar(argv=None):
-    return _task_main("translitrate_en2ar", argv)
+# the per-task console scripts: main_diacritize, main_correct_grammar, ...
+for _prefix in PREFIXES:
+    globals()[f"main_{_prefix}"] = partial(_task_main, _prefix)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 with n-best output and n-gram repetition blocking.
 
 One loop (`_search`) runs them all, one batched model step per token over
-every live row: beams, sampled draws, or the sources of a greedy batch.
+every live row: the beams or sampled draws of one or many sources.
 Each step decodes only the newest tokens against a `DecoderCache`.
 """
 
@@ -246,28 +246,47 @@ def _cached_step(model, vocab, sources: list[list[int]], rows) -> BatchStep:
     return step
 
 
-def generate(model, vocab, source_ids: list[int], cfg: DecodeConfig) -> list[Hypothesis]:
-    """Decode one source with the configured method.
+def generate_batch(model, vocab, sources: list[list[int]], cfg: DecodeConfig,
+                   batch_size: int = 8) -> list[list[Hypothesis]]:
+    """Decode many sources with the configured method, in input order.
 
-    Greedy returns exactly one hypothesis; beam returns the max_outputs
-    best finished-or-limit hypotheses; sampling draws max_outputs
-    independent sequences in emission order.
+    Greedy returns exactly one hypothesis per source; beam returns the
+    max_outputs best finished-or-limit hypotheses; sampling draws
+    max_outputs independent sequences in emission order, draw i from
+    `default_rng((seed, i))`. Sources are grouped by exact length and
+    decoded in chunks of at most batch_size with one search each, so no
+    source is padded and none depends on the others.
     """
     cfg.validate()
     # the decoder context holds the start token plus the generated prefix
     max_len = min(cfg.seq_length, model.config.max_seq_len - 1)
     blocker = _blocker(cfg.no_repeat_ngram_size)
-    if cfg.method == "sampling":
-        draws = cfg.max_outputs
-        step = _cached_step(model, vocab, [source_ids], [0] * draws)
-        rngs = [np.random.default_rng((cfg.seed, i)) for i in range(draws)]
-        pools = _search(step, draws, 1, max_len, vocab.eos_id, blocker,
-                        partial(_sample_choose, cfg=cfg, rngs=rngs))
-        return [pool[0] for pool in pools]
-    nbeam = 1 if cfg.method == "greedy" else cfg.nbeam
-    step = _cached_step(model, vocab, [source_ids], [0])
-    hyps = _search(step, 1, nbeam, max_len, vocab.eos_id, blocker)[0]
-    return hyps[: 1 if cfg.method == "greedy" else cfg.max_outputs]
+    # searches per source, the width of each, and the hypotheses kept per search
+    draws = cfg.max_outputs if cfg.method == "sampling" else 1
+    width = cfg.nbeam if cfg.method == "beam" else 1
+    keep = cfg.max_outputs if cfg.method == "beam" else 1
+    by_length: dict[int, list[int]] = {}
+    for i, src in enumerate(sources):
+        by_length.setdefault(len(src), []).append(i)
+    size = max(batch_size, 1)
+    out: list[list[Hypothesis]] = [[] for _ in sources]
+    for group in by_length.values():
+        for chunk in (group[lo:lo + size] for lo in range(0, len(group), size)):
+            rows = np.repeat(np.arange(len(chunk)), draws)
+            step = _cached_step(model, vocab, [sources[i] for i in chunk], rows)
+            choose = None
+            if cfg.method == "sampling":
+                rngs = [np.random.default_rng((cfg.seed, d)) for _ in chunk for d in range(draws)]
+                choose = partial(_sample_choose, cfg=cfg, rngs=rngs)
+            pools = _search(step, len(rows), width, max_len, vocab.eos_id, blocker, choose)
+            for k, i in enumerate(chunk):
+                out[i] = [h for pool in pools[k * draws:(k + 1) * draws] for h in pool[:keep]]
+    return out
+
+
+def generate(model, vocab, source_ids: list[int], cfg: DecodeConfig) -> list[Hypothesis]:
+    """Decode one source with the configured method (see `generate_batch`)."""
+    return generate_batch(model, vocab, [source_ids], cfg, 1)[0]
 
 
 def greedy_decode_batch(

@@ -284,7 +284,7 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
             f"rms_norm gain shape {gain.data.shape} does not match last axis of {x.data.shape}"
         )
     n = x.data.shape[-1]
-    ms = (x.data * x.data).mean(axis=-1, keepdims=True)
+    ms = (x.data * x.data).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(ms + eps)
     normed = x.data * inv
     data = normed * gain.data

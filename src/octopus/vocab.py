@@ -133,6 +133,9 @@ class Vocabulary:
             header = f.readline().rstrip("\n")
             fields = dict(part.split("=", 1) for part in header.split("\t"))
             tokens = [_unescape(line.rstrip("\n")) for line in f]
+        for key in ("sentinels", "unit", "vocab_size"):
+            if key not in fields:
+                raise ValueError(f"corrupt vocabulary file {path}: header has no {key!r} field")
         vocab = cls(tokens, sentinels=int(fields["sentinels"]), unit=fields["unit"])
         if vocab.vocab_size != int(fields["vocab_size"]):
             raise ValueError(f"corrupt vocabulary file {path}: size mismatch")

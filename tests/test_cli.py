@@ -176,6 +176,106 @@ def test_run_batch_unwritable_logging_file_exits_1(checkpoint, tmp_path):
     assert out.getvalue() == ""
 
 
+MIXED_LINES = ["abc", "f", "edcba", "ab", "ghi", "j", "fedcb", "hh", "cab", "xyz", "a"]
+
+
+@pytest.mark.parametrize("method", ["-m beam -nb 3", "-m sampling -k 5"])
+def test_run_batch_output_independent_of_batch_size(checkpoint, tmp_path, method):
+    """-bs batches beam and sampling too, without padding: stdout is the
+    same for any batch size, and block i is what line i alone decodes to."""
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("".join(f"{line}\n" for line in MIXED_LINES), encoding="utf-8")
+    base = ["-p", "diacritize", "-s", "6", "-o", "2", *method.split(),
+            "--model-path", str(checkpoint)]
+    outs = []
+    for bs in ("1", "8"):
+        out = io.StringIO()
+        assert run_batch(parse_args([*base, "-f", str(inputs), "-bs", bs]), stdout=out) == 0
+        outs.append(out.getvalue())
+    assert outs[0] == outs[1]
+    blocks = outs[1].strip("\n").split("\n\n")
+    for line, block in zip(MIXED_LINES, blocks, strict=True):
+        alone = io.StringIO()
+        assert run_batch(parse_args([*base, "-t", line]), stdout=alone) == 0
+        assert alone.getvalue() == block + "\n"
+
+
+def test_run_batch_overlong_line_exits_1(checkpoint, tmp_path):
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("ab\n\n" + "a" * 200 + "\ncd\n", encoding="utf-8")
+    args = parse_args(["-p", "diacritize", "-f", str(inputs), "-s", "6",
+                       "--model-path", str(checkpoint)])
+    out, err = io.StringIO(), io.StringIO()
+    assert run_batch(args, stdout=out, stderr=err) == 1
+    # "diacritize: " adds 12 tokens; the checkpoint's max_seq_len is 96
+    assert err.getvalue() == "error: line 3: input is 212 tokens, the model accepts at most 96\n"
+    assert out.getvalue() == ""
+
+
+def test_run_batch_vocab_header_missing_field_exits_1(checkpoint, tmp_path):
+    import shutil
+
+    root = tmp_path / "best"
+    shutil.copytree(checkpoint, root)
+    vocab = root / "vocab.txt"
+    header, rest = vocab.read_text(encoding="utf-8").split("\n", 1)
+    header = "\t".join(f for f in header.split("\t") if not f.startswith("unit="))
+    vocab.write_text(f"{header}\n{rest}", encoding="utf-8")
+    args = parse_args(["-p", "diacritize", "-t", "x", "--model-path", str(root)])
+    err = io.StringIO()
+    assert run_batch(args, stdout=io.StringIO(), stderr=err) == 1
+    assert "cannot load model" in err.getvalue() and "'unit'" in err.getvalue()
+
+
+def test_repl_overlong_line_reports_and_reprompts(checkpoint):
+    args = parse_args(["--model-path", str(checkpoint), "-s", "6"], mode="interactive")
+    stdin = io.StringIO("diacritize\n" + "a" * 200 + "\nab\nq\n")
+    out, err = io.StringIO(), io.StringIO()
+    assert repl_loop(args, stdin=stdin, stdout=out, stderr=err) == 0
+    assert err.getvalue() == "error: line 2: input is 212 tokens, the model accepts at most 96\n"
+    assert out.getvalue().count("Type your source text or (q) to STOP:") == 3
+    targets = [l for l in out.getvalue().splitlines() if l.startswith("target")]
+    assert len(targets) == 3  # the line after the over-long one still decodes
+
+
+def test_cli_import_skips_training_modules():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import octopus
+
+    code = ("import sys, octopus.cli; "
+            "print(sorted(m for m in ('octopus.trainer', 'octopus.objectives', 'octopus.optim') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(octopus.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_package_exports_resolve():
+    import octopus
+
+    names = """DecodeConfig Hypothesis beam_search block_repeat_ngrams generate sample_step
+        EditSet MetricReport bleu cer diacritization_fidelity m2_f05 macro_scores rouge_l
+        token_f1 ModelConfig Seq2SeqTransformer relative_position_bucket DenoisingConfig
+        Seq2SeqBatch corrupt_spans make_batch splice AdamState adam_step Example TaskSpec
+        format_input load_jsonl synth_cipher synth_devowel Tensor backward cross_entropy
+        matmul no_grad rms_norm softmax CheckpointMeta Datasets TaskData TaskMixer
+        TrainConfig evaluate_dev sample_task_batch select_best_checkpoint train Vocabulary
+        build_vocab""".split()
+    assert set(names) <= set(dir(octopus))
+    for name in names:
+        getattr(octopus, name)
+    from octopus import trainer
+
+    assert trainer.train is octopus.train
+    with pytest.raises(AttributeError):
+        octopus.no_such_name  # noqa: B018
+
+
 def test_repl_bad_decode_config_exits_2(tmp_path):
     # -o 9 with the default beam of 5 is a usage error, caught before loading
     args = parse_args(["-o", "9", "--model-path", str(tmp_path / "nope")],
@@ -274,6 +374,19 @@ def test_task_entry_function_matches_main(checkpoint, capsys):
     via_task = capsys.readouterr().out
     assert rc == rc2 == 0
     assert via_main == via_task
+
+
+def test_every_console_script_entry_point_exists():
+    import importlib
+    import tomllib
+    from pathlib import Path
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert len(scripts) == 11
+    for target in scripts.values():
+        module, func = target.split(":")
+        assert callable(getattr(importlib.import_module(module), func)), target
 
 
 def test_installed_console_script_smoke():

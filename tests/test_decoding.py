@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from octopus import DecodeConfig, beam_search, block_repeat_ngrams, generate, sample_step
-from octopus.decoding import greedy_decode_batch, greedy_search, sampling_search
+from octopus.decoding import generate_batch, greedy_decode_batch, greedy_search, sampling_search
 from octopus.tensor import no_grad
 from octopus.vocab import build_vocab
 from octopus import ModelConfig, Seq2SeqTransformer
@@ -309,3 +309,30 @@ def test_batched_sampling_matches_per_draw_sampling(f64_setup):
                 want = sampling_search(step, cfg, vocab.eos_id, draw)
                 assert hyp.ids == want.ids and hyp.finished == want.finished
                 assert abs(hyp.logprob - want.logprob) < 1e-9
+
+
+BATCH_CONFIGS = (
+    DecodeConfig(method="beam", seq_length=10),
+    DecodeConfig(method="beam", nbeam=3, max_outputs=2, seq_length=10, no_repeat_ngram_size=2),
+    DecodeConfig(method="greedy", seq_length=10),
+    DecodeConfig(method="sampling", max_outputs=3, seq_length=10, top_k=6, seed=5),
+)
+
+
+@pytest.mark.parametrize("cfg", BATCH_CONFIGS, ids=["beam5", "beam3-ng2", "greedy", "sampling"])
+def test_generate_batch_equals_per_source_generate(tiny_setup, f64_setup, cfg):
+    """Same-length sources share a search, never padded: every source gets
+    exactly the hypotheses of a one-source decode, in input order."""
+    texts = ("abc", "f", "edcba", "bb", "cab", "a", "fe", "dd", "bcd", "eabcd")
+    for model, vocab in (tiny_setup, (f64_setup[0][1], f64_setup[1])):
+        sources = [vocab.encode(t) for t in texts]
+        want = [[(h.ids, h.logprob, h.finished) for h in generate(model, vocab, src, cfg)]
+                for src in sources]
+        for batch_size in (1, 3, 8):
+            got = generate_batch(model, vocab, sources, cfg, batch_size)
+            assert [[(h.ids, h.logprob, h.finished) for h in hyps] for hyps in got] == want
+
+
+def test_generate_batch_no_sources(tiny_setup):
+    model, vocab = tiny_setup
+    assert generate_batch(model, vocab, [], DecodeConfig()) == []
