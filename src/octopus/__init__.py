@@ -29,9 +29,10 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS:  # `octopus.trainer` without importing it first
+        return import_module(f".{name}", __name__)
     module = _MODULE_OF.get(name)
     if module is None:
-        # submodules (`from octopus import trainer`) are found by the import system
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f".{module}", __name__), name)
     globals()[name] = value
@@ -39,4 +40,4 @@ def __getattr__(name: str):
 
 
 def __dir__():
-    return sorted({*globals(), *_MODULE_OF})
+    return sorted({*globals(), *_EXPORTS, *_MODULE_OF})

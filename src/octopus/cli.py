@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -83,13 +83,15 @@ def parse_args(argv: list[str], mode: str = "batch", prog: str = "octopus") -> C
     """Validated CliArgs; argparse handles usage errors with exit code 2."""
     parser = _build_parser(prog, mode)
     ns = parser.parse_args(argv)
-    values = {f.name: getattr(ns, f.name, None) for f in fields(CliArgs)}
-    if values["prefix"] is not None:
+    for name in ("prefix", "text", "input_file"):  # not every mode defines these
+        setattr(ns, name, getattr(ns, name, None))
+    if ns.prefix is not None:
         try:
-            values["prefix"] = normalize_prefix(values["prefix"])
+            ns.prefix = normalize_prefix(ns.prefix)
         except ValueError as e:
             parser.error(str(e))
-    return CliArgs(**values)
+    # every other field must come from the parser: a missing dest is a TypeError
+    return CliArgs(**vars(ns))
 
 
 def load_toolkit(model_path: str) -> tuple[Seq2SeqTransformer, Vocabulary]:
@@ -117,18 +119,18 @@ def _decode_config(args: CliArgs) -> DecodeConfig:
     return cfg
 
 
-def _encode(model, vocab, prefix: str, text: str) -> list[int]:
+def _encode(model, vocab, prefix: str, text: str, what: str = "input") -> list[int]:
     """Source ids of one input; ValueError if the model cannot take them."""
     ids, limit = vocab.encode(f"{prefix}: {text}"), model.config.max_seq_len
     if len(ids) > limit:
-        raise ValueError(f"input is {len(ids)} tokens, the model accepts at most {limit}")
+        raise ValueError(f"{what} is {len(ids)} tokens, the model accepts at most {limit}")
     return ids
 
 
 def _generate_all(model, vocab, texts: list[str], prefix: str,
                   cfg: DecodeConfig, batch_size: int) -> list[list[str]]:
-    """Hypothesis texts per input, decoded batch_size sources at a time."""
-    sources = [_encode(model, vocab, prefix, text) for text in texts]
+    """Hypothesis texts per input (all checked by run_batch), batch_size at a time."""
+    sources = [vocab.encode(f"{prefix}: {text}") for text in texts]
     return [[vocab.decode(h.ids) for h in hyps]
             for hyps in generate_batch(model, vocab, sources, cfg, batch_size)]
 
@@ -223,12 +225,9 @@ def repl_loop(args: CliArgs, stdin=None, stdout=None, stderr=None) -> int:
             return 0
         names = [part for part in (s.strip() for s in line.split(",")) if part]
         try:
-            tasks = [normalize_prefix(name) for name in names]
+            tasks = [normalize_prefix(name) for name in names] or None
         except ValueError:
             stdout.write(f"Unknown task. Valid tasks: {', '.join(PREFIXES)}\n")
-            tasks = None
-        if tasks == []:
-            tasks = None
 
     while True:
         stdout.write("Type your source text or (q) to STOP:\n")
@@ -237,25 +236,24 @@ def repl_loop(args: CliArgs, stdin=None, stdout=None, stderr=None) -> int:
         n += 1
         if not line:
             return 0
-        text = line.strip()
-        if not text:
+        current = line.strip()
+        if not current:
             continue
-        if text == "q":
+        if current == "q":
             return 0
-        current = text
-        hyps: list[str] = [current]
-        for task in tasks:
+        for k, task in enumerate(tasks):
+            # a later stage reads the previous stage's output, not the line
+            what = f"input to {task} (output of {tasks[k - 1]})" if k else "input"
             try:
-                source = _encode(model, vocab, task, current)
+                source = _encode(model, vocab, task, current, what)
             except ValueError as e:
                 print(f"error: line {n}: {e}", file=stderr)
-                hyps = []
                 break
-            results = generate(model, vocab, source, cfg)
-            hyps = [vocab.decode(h.ids) for h in results]
+            hyps = [vocab.decode(h.ids) for h in generate(model, vocab, source, cfg)]
             current = hyps[0]
-        for j, hyp in enumerate(hyps, start=1):
-            stdout.write(f"target{j}: {hyp}\n")
+        else:  # every stage decoded
+            for j, hyp in enumerate(hyps, start=1):
+                stdout.write(f"target{j}: {hyp}\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -278,9 +276,16 @@ def _task_main(prefix: str, argv: list[str] | None = None) -> int:
     return run_batch(args)
 
 
-# the per-task console scripts: main_diacritize, main_correct_grammar, ...
-for _prefix in PREFIXES:
-    globals()[f"main_{_prefix}"] = partial(_task_main, _prefix)
+# the per-task console scripts
+main_diacritize = partial(_task_main, "diacritize")
+main_correct_grammar = partial(_task_main, "correct_grammar")
+main_paraphrase = partial(_task_main, "paraphrase")
+main_answer_question = partial(_task_main, "answer_question")
+main_generate_question = partial(_task_main, "generate_question")
+main_summarize = partial(_task_main, "summarize")
+main_generate_title = partial(_task_main, "generate_title")
+main_translitrate_ar2en = partial(_task_main, "translitrate_ar2en")
+main_translitrate_en2ar = partial(_task_main, "translitrate_en2ar")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -221,24 +222,27 @@ def sampling_search(step_fn: StepFn, cfg: DecodeConfig, eos_id: int,
     return _search(step, 1, 1, cfg.seq_length, eos_id, blocker, choose)[0][0]
 
 
-def _cached_step(model, vocab, sources: list[list[int]], rows) -> BatchStep:
-    """Encode the sources once as a padded batch and return a step over
-    cached decoder rows; row i starts on source rows[i]. Each call keeps
-    the parents' cache rows and decodes only the newest token of each
-    prefix (the start token, pad, on the first step)."""
-    lengths = np.array([len(s) for s in sources])
-    src = np.array([[*s, *[vocab.pad_id] * (lengths.max() - len(s))] for s in sources],
-                   dtype=np.int64)
-    mask = np.arange(src.shape[1]) < lengths[:, None]
-    with no_grad():
-        enc = model.encode(src, mask)
+def _cached_step(model, vocab, groups: list[list[list[int]]], rows) -> BatchStep:
+    """Encode each group of sources once as a padded batch and return a
+    step over cached decoder rows; row i starts on source rows[i], counted
+    across the groups in order. Each call keeps the parents' cache rows
+    and decodes only the newest token of each prefix (the start token,
+    pad, on the first step)."""
+    encs, masks = [], []
+    for sources in groups:
+        lengths = np.array([len(s) for s in sources])
+        src = np.array([[*s, *[vocab.pad_id] * (lengths.max() - len(s))] for s in sources],
+                       dtype=np.int64)
+        masks.append(np.arange(src.shape[1]) < lengths[:, None])
+        with no_grad():
+            encs.append(model.encode(src, masks[-1]))
     cache = DecoderCache(rows)
 
     def step(parents: np.ndarray, prefixes: list[tuple[int, ...]]) -> np.ndarray:
         cache.reorder(parents)
         dec = np.asarray([[p[-1] if p else vocab.pad_id] for p in prefixes], dtype=np.int64)
         with no_grad():
-            logits = model.decode_logits(enc, mask, dec, cache=cache)
+            logits = model.decode_logits(encs, masks, dec, cache=cache)
         lp = logits.data[:, -1].astype(np.float64)
         lp -= lp.max(axis=-1, keepdims=True)
         return lp - np.log(np.exp(lp).sum(axis=-1, keepdims=True))
@@ -253,9 +257,11 @@ def generate_batch(model, vocab, sources: list[list[int]], cfg: DecodeConfig,
     Greedy returns exactly one hypothesis per source; beam returns the
     max_outputs best finished-or-limit hypotheses; sampling draws
     max_outputs independent sequences in emission order, draw i from
-    `default_rng((seed, i))`. Sources are grouped by exact length and
-    decoded in chunks of at most batch_size with one search each, so no
-    source is padded and none depends on the others.
+    `default_rng((seed, i))`. Sources are decoded shortest first, in
+    chunks of at most batch_size with one search each. Within a chunk,
+    sources of equal length are encoded together and every decoder row
+    attends to its own length group only, so no source is padded and
+    none depends on the others.
     """
     cfg.validate()
     # the decoder context holds the start token plus the generated prefix
@@ -265,22 +271,21 @@ def generate_batch(model, vocab, sources: list[list[int]], cfg: DecodeConfig,
     draws = cfg.max_outputs if cfg.method == "sampling" else 1
     width = cfg.nbeam if cfg.method == "beam" else 1
     keep = cfg.max_outputs if cfg.method == "beam" else 1
-    by_length: dict[int, list[int]] = {}
-    for i, src in enumerate(sources):
-        by_length.setdefault(len(src), []).append(i)
+    order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
     size = max(batch_size, 1)
     out: list[list[Hypothesis]] = [[] for _ in sources]
-    for group in by_length.values():
-        for chunk in (group[lo:lo + size] for lo in range(0, len(group), size)):
-            rows = np.repeat(np.arange(len(chunk)), draws)
-            step = _cached_step(model, vocab, [sources[i] for i in chunk], rows)
-            choose = None
-            if cfg.method == "sampling":
-                rngs = [np.random.default_rng((cfg.seed, d)) for _ in chunk for d in range(draws)]
-                choose = partial(_sample_choose, cfg=cfg, rngs=rngs)
-            pools = _search(step, len(rows), width, max_len, vocab.eos_id, blocker, choose)
-            for k, i in enumerate(chunk):
-                out[i] = [h for pool in pools[k * draws:(k + 1) * draws] for h in pool[:keep]]
+    for chunk in (order[lo:lo + size] for lo in range(0, len(order), size)):
+        groups = [[sources[i] for i in group]
+                  for _, group in groupby(chunk, key=lambda i: len(sources[i]))]
+        rows = np.repeat(np.arange(len(chunk)), draws)
+        step = _cached_step(model, vocab, groups, rows)
+        choose = None
+        if cfg.method == "sampling":
+            rngs = [np.random.default_rng((cfg.seed, d)) for _ in chunk for d in range(draws)]
+            choose = partial(_sample_choose, cfg=cfg, rngs=rngs)
+        pools = _search(step, len(rows), width, max_len, vocab.eos_id, blocker, choose)
+        for k, i in enumerate(chunk):
+            out[i] = [h for pool in pools[k * draws:(k + 1) * draws] for h in pool[:keep]]
     return out
 
 
@@ -299,7 +304,7 @@ def greedy_decode_batch(
     if not sources:
         return []
     max_len = min(max_len, model.config.max_seq_len - 1)
-    step = _cached_step(model, vocab, sources, np.arange(len(sources)))
+    step = _cached_step(model, vocab, [sources], np.arange(len(sources)))
     blocker = _blocker(no_repeat_ngram_size)
     pools = _search(step, len(sources), 1, max_len, vocab.eos_id, blocker)
     return [h.ids[:-1] if h.finished else h.ids for (h,) in pools]

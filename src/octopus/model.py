@@ -201,29 +201,24 @@ class DecoderCache:
     """Keys and values of the decoder positions seen so far, for
     incremental decoding with `Seq2SeqTransformer.decode_logits`.
 
-    Decoder row i reads encoder row `rows[i]`, so one encoded source can
-    feed several rows (beams, sampled draws). Self-attention keys and
-    values gain a position per decoded token; cross-attention keys and
-    values are projected from the encoder states on the first call and
-    afterwards only reordered. Inference only: cached arrays carry no
-    gradient.
+    Decoder row i reads source `rows[i]`, so one encoded source can feed
+    several rows (beams, sampled draws). Self-attention keys and values
+    gain a position per decoded token; cross-attention keys and values
+    are projected once per source on the first call and then read by row.
+    Inference only: cached arrays carry no gradient.
     """
 
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=np.int64)
         self.length = 0  # decoder positions held
-        self.kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # attention -> (B, H, L, dh) k, v
+        self.kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # self-attention -> (B, H, L, dh)
+        # cross-attention -> one (k, v) pair per source group, (n, H, S, dh) each
+        self.cross: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
 
-    def store(self, name: str, k: np.ndarray, v: np.ndarray, append: bool):
-        """Keep an attention's keys and values; return all it now holds.
-
-        Self-attention (append) adds the new positions after the cached
-        ones. Cross-attention keys and values, projected once per encoder
-        row, are copied to every decoder row that reads that source.
-        """
-        if not append:
-            k, v = k[self.rows], v[self.rows]
-        elif name in self.kv:
+    def append(self, name: str, k: np.ndarray, v: np.ndarray):
+        """Add new self-attention positions after the cached ones; return
+        all the keys and values the attention now holds."""
+        if name in self.kv:
             k, v = (np.concatenate([old, new], axis=2) for old, new in zip(self.kv[name], (k, v)))
         self.kv[name] = (k, v)
         return k, v
@@ -321,37 +316,53 @@ class Seq2SeqTransformer:
     def _attention(self, x_q: Tensor, x_kv: Tensor, base: str,
                    mask_add: np.ndarray | None, bias: Tensor | None,
                    cache: DecoderCache | None = None) -> Tensor:
-        """Multi-head attention of x_q over x_kv.
-
-        With a cache, self-attention (x_kv is x_q) appends the new keys and
-        values to the cached ones; cross-attention projects x_kv once and
-        then reads the cache, ignoring x_kv.
-        """
-        cfg = self.config
-        b, lq = x_q.shape[0], x_q.shape[1]
+        """Multi-head attention of x_q over x_kv; with a cache (self-attention
+        only) the new keys and values are appended to the cached ones."""
         q = self._heads(x_q, f"{base}.wq")
-        cross = x_kv is not x_q
-        if cache is not None and cross and base in cache.kv:
-            k, v = (Tensor(a, dtype=a.dtype) for a in cache.kv[base])
-        else:
-            k = self._heads(x_kv, f"{base}.wk")
-            v = self._heads(x_kv, f"{base}.wv")
-            if cache is not None:
-                k, v = (Tensor(a, dtype=a.dtype)
-                        for a in cache.store(base, k.data, v.data, append=not cross))
+        k = self._heads(x_kv, f"{base}.wk")
+        v = self._heads(x_kv, f"{base}.wv")
+        if cache is not None:
+            k, v = (Tensor(a, dtype=a.dtype) for a in cache.append(base, k.data, v.data))
+        return self._merge_heads(self._attend(q, k, v, mask_add, bias), base)
+
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor,
+                mask_add: np.ndarray | None, bias: Tensor | None) -> Tensor:
+        """Per-head attention output (B, H, Lq, dh)."""
         # scaled dot-product keeps init-time logits near unit variance,
         # which matters for trainability at desk scale
-        dh = cfg.d_model // cfg.n_heads
+        dh = self.config.d_model // self.config.n_heads
         scores = T.matmul(T.mul(q, 1.0 / math.sqrt(dh)), T.transpose(k, (0, 1, 3, 2)))
         if bias is not None:
             scores = T.add(scores, bias)
         if mask_add is not None:
-            scores = T.add(scores, Tensor(mask_add, dtype=x_q.dtype))
+            scores = T.add(scores, Tensor(mask_add, dtype=q.data.dtype))
         attn = T.softmax(scores, axis=-1)
         attn = self._dropout(attn)
-        out = T.matmul(attn, v)
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, lq, cfg.d_model))
+        return T.matmul(attn, v)
+
+    def _merge_heads(self, out: Tensor, base: str) -> Tensor:
+        b, _, lq, _ = out.shape
+        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, lq, self.config.d_model))
         return T.matmul(out, self.params[f"{base}.wo"])
+
+    def _cached_cross(self, x_q: Tensor, memory, groups, base: str,
+                      cache: DecoderCache) -> Tensor:
+        """Cross-attention of cached rows, each over its own source group.
+
+        Each group's keys and values are projected once and gathered by row
+        every step; rows of different groups meet only in the projections,
+        so every row sees the operands of a decode of its group alone.
+        """
+        q = self._heads(x_q, f"{base}.wq")
+        if base not in cache.cross:
+            cache.cross[base] = [(self._heads(enc, f"{base}.wk").data,
+                                  self._heads(enc, f"{base}.wv").data) for enc, _ in memory]
+        out = np.empty(q.shape, dtype=q.data.dtype)
+        for (sel, loc, mask_add), (k, v) in zip(groups, cache.cross[base]):
+            if len(loc):
+                qs, ks, vs = (Tensor(a, dtype=a.dtype) for a in (q.data[sel], k[loc], v[loc]))
+                out[sel] = self._attend(qs, ks, vs, mask_add, None).data
+        return self._merge_heads(Tensor(out, dtype=out.dtype), base)
 
     def _ff(self, x: Tensor, base: str) -> Tensor:
         inner = T.relu(T.matmul(x, self.params[f"{base}.wi"]))
@@ -388,7 +399,7 @@ class Seq2SeqTransformer:
         x = T.rms_norm(x, self.params["encoder.final_norm"])
         return self._dropout(x)
 
-    def decode_logits(self, enc_hidden: Tensor, enc_mask, dec_ids,
+    def decode_logits(self, enc_hidden, enc_mask, dec_ids,
                       cache: DecoderCache | None = None) -> Tensor:
         """Decoder logits, shape (B, T, vocab_size).
 
@@ -399,7 +410,9 @@ class Seq2SeqTransformer:
         Without a cache, dec_ids is the whole decoder input (teacher
         forcing). With a DecoderCache, dec_ids holds only the next T
         positions of each cached row; their keys and values are appended
-        to the cache, and enc_hidden/enc_mask are indexed by `cache.rows`.
+        to the cache. enc_hidden/enc_mask may then also be lists, one
+        encoded batch per source group, whose sources are numbered across
+        the groups in order; `cache.rows` indexes that numbering.
         """
         dec_ids = np.asarray(dec_ids, dtype=np.int64)
         self._check_ids(dec_ids, "decoder ids")
@@ -416,10 +429,10 @@ class Seq2SeqTransformer:
         # a single query row may see every key, so it needs no causal mask
         causal = (np.triu(np.full((1, 1, t_len, end), -np.inf, dtype=dt), k=1 + start)
                   if t_len > 1 else None)
-        enc_mask = np.asarray(enc_mask, dtype=bool)
-        if cache is not None:
-            enc_mask = enc_mask[cache.rows]
-        cross_mask = self._key_mask_add(enc_mask, dt)
+        if cache is None:
+            cross_mask = self._key_mask_add(np.asarray(enc_mask, dtype=bool), dt)
+        else:
+            memory, groups = self._row_groups(enc_hidden, enc_mask, cache.rows, dt)
         bias = self._relpos_bias("decoder", start, t_len, end) if cfg.n_dec_layers else None
         for i in range(cfg.n_dec_layers):
             base = f"decoder.block{i}"
@@ -427,8 +440,10 @@ class Seq2SeqTransformer:
             x = T.add(x, self._dropout(
                 self._attention(h, h, f"{base}.attn", causal, bias, cache)))
             h = T.rms_norm(x, self.params[f"{base}.cross.norm"])
-            x = T.add(x, self._dropout(
-                self._attention(h, enc_hidden, f"{base}.cross", cross_mask, None, cache)))
+            cross = (self._attention(h, enc_hidden, f"{base}.cross", cross_mask, None)
+                     if cache is None else
+                     self._cached_cross(h, memory, groups, f"{base}.cross", cache))
+            x = T.add(x, self._dropout(cross))
             h = T.rms_norm(x, self.params[f"{base}.ff.norm"])
             x = T.add(x, self._dropout(self._ff(h, f"{base}.ff")))
         if cache is not None:
@@ -437,6 +452,24 @@ class Seq2SeqTransformer:
         x = self._dropout(x)
         x = T.mul(x, 1.0 / math.sqrt(cfg.d_model))
         return T.matmul(x, T.transpose(emb, (1, 0)))
+
+    def _row_groups(self, enc_hidden, enc_mask, rows: np.ndarray, dtype):
+        """Source groups as (hidden, mask) pairs, and for each the cached
+        rows that read it: (their positions, their sources within the
+        group, the additive key mask or None)."""
+        if isinstance(enc_hidden, Tensor):
+            enc_hidden, enc_mask = [enc_hidden], [enc_mask]
+        memory = [(enc, np.asarray(mask, dtype=bool)) for enc, mask in zip(enc_hidden, enc_mask)]
+        groups, first = [], 0
+        for _, mask in memory:
+            sel, loc = slice(None), rows
+            if len(memory) > 1:
+                sel = np.flatnonzero((rows >= first) & (rows < first + len(mask)))
+                loc = rows[sel] - first
+            # an unpadded group needs no mask: adding zeros changes no score
+            groups.append((sel, loc, None if mask.all() else self._key_mask_add(mask[loc], dtype)))
+            first += len(mask)
+        return memory, groups
 
     def batch_loss(self, batch, pad_id: int = 0) -> Tensor:
         """Mean token cross-entropy over non-pad target positions."""

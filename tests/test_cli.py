@@ -238,6 +238,19 @@ def test_repl_overlong_line_reports_and_reprompts(checkpoint):
     assert len(targets) == 3  # the line after the over-long one still decodes
 
 
+def test_repl_overlong_stage_output_names_the_stage(checkpoint):
+    # beam output of diacritize runs to the cap of 95 tokens; with the
+    # "paraphrase: " prefix the second stage's source is 107 tokens
+    args = parse_args(["--model-path", str(checkpoint), "-o", "1"], mode="interactive")
+    stdin = io.StringIO("diacritize, paraphrase\nab\nq\n")
+    out, err = io.StringIO(), io.StringIO()
+    assert repl_loop(args, stdin=stdin, stdout=out, stderr=err) == 0
+    assert err.getvalue() == ("error: line 2: input to paraphrase (output of diacritize) "
+                              "is 107 tokens, the model accepts at most 96\n")
+    assert "target" not in out.getvalue()
+    assert out.getvalue().count("Type your source text or (q) to STOP:") == 2
+
+
 def test_cli_import_skips_training_modules():
     import os
     import subprocess
@@ -253,6 +266,11 @@ def test_cli_import_skips_training_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "[]"
+    # a submodule is an attribute of the package without importing it first
+    code = "import octopus; print(octopus.trainer.train is octopus.train, octopus.metrics.bleu)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.startswith("True <function bleu")
 
 
 def test_package_exports_resolve():

@@ -333,6 +333,22 @@ def test_generate_batch_equals_per_source_generate(tiny_setup, f64_setup, cfg):
             assert [[(h.ids, h.logprob, h.finished) for h in hyps] for hyps in got] == want
 
 
+def test_generate_batch_shares_steps_across_lengths(tiny_setup, monkeypatch):
+    """Sources of different lengths in one chunk advance together: a greedy
+    chunk costs one model call per token, not one per distinct length."""
+    model, vocab = tiny_setup
+    sources = [vocab.encode(t) for t in ("a", "bc", "def", "abcd", "bcdef", "f")]
+    calls = []
+    decode = model.decode_logits
+    monkeypatch.setattr(model, "decode_logits",
+                        lambda *a, **k: calls.append(1) or decode(*a, **k))
+    generate_batch(model, vocab, sources, DecodeConfig(method="greedy", seq_length=5), 8)
+    assert 1 <= len(calls) <= 5
+    calls.clear()
+    generate_batch(model, vocab, sources, DecodeConfig(method="greedy", seq_length=5), 1)
+    assert len(calls) > 5
+
+
 def test_generate_batch_no_sources(tiny_setup):
     model, vocab = tiny_setup
     assert generate_batch(model, vocab, [], DecodeConfig()) == []

@@ -296,6 +296,39 @@ def test_cache_reorder_matches_uncached_prefixes():
     assert np.abs(step - ref).max() < 1e-6
 
 
+def test_cache_over_source_groups_matches_each_group_alone():
+    """Rows reading sources of different lengths share one cached step; each
+    row attends to its own unpadded group and gets the exact logits of a
+    decode of that group alone, also after rows are dropped and reordered."""
+    model = _biased_model()
+    rng = np.random.default_rng(5)
+    groups = [rng.integers(2, 16, size=(n, length)) for n, length in ((2, 3), (1, 7), (2, 5))]
+    masks = [np.ones(g.shape, dtype=bool) for g in groups]
+    rows = [4, 0, 2, 3, 1, 2]  # sources numbered across the groups: 0-1, 2, 3-4
+    dec = rng.integers(2, 16, size=(len(rows), 3))
+    parents = [5, 0, 0, 3]  # keep four rows, one duplicated
+    with no_grad():
+        encs = [model.encode(g, m) for g, m in zip(groups, masks)]
+        cache = DecoderCache(rows)
+        got = [model.decode_logits(encs, masks, dec[:, i:i + 1], cache=cache).data
+               for i in range(2)]
+        cache.reorder(parents)
+        got.append(model.decode_logits(encs, masks, dec[parents, 2:3], cache=cache).data)
+        for group in range(3):
+            first = sum(len(g) for g in groups[:group])
+            mine = [r for r, src in enumerate(rows) if first <= src < first + len(groups[group])]
+            alone = DecoderCache([rows[r] - first for r in mine])
+            for i in range(2):
+                want = model.decode_logits(encs[group], masks[group], dec[mine, i:i + 1],
+                                           cache=alone).data
+                assert np.array_equal(got[i][mine], want)
+            kept = [k for k, r in enumerate(parents) if r in mine]
+            alone.reorder([mine.index(parents[k]) for k in kept])
+            want = model.decode_logits(encs[group], masks[group],
+                                       dec[[parents[k] for k in kept], 2:3], cache=alone).data
+            assert np.array_equal(got[2][kept], want)
+
+
 def test_cache_beyond_max_seq_len_errors():
     model = _biased_model()  # max_seq_len 16
     batch = tiny_batch()
