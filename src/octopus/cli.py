@@ -90,6 +90,8 @@ def parse_args(argv: list[str], mode: str = "batch", prog: str = "octopus") -> C
             ns.prefix = normalize_prefix(ns.prefix)
         except ValueError as e:
             parser.error(str(e))
+    if ns.batch_size < 1:
+        parser.error(f"argument -bs/--batch-size: must be >= 1, got {ns.batch_size}")
     # every other field must come from the parser: a missing dest is a TypeError
     return CliArgs(**vars(ns))
 

@@ -264,6 +264,8 @@ def generate_batch(model, vocab, sources: list[list[int]], cfg: DecodeConfig,
     none depends on the others.
     """
     cfg.validate()
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     # the decoder context holds the start token plus the generated prefix
     max_len = min(cfg.seq_length, model.config.max_seq_len - 1)
     blocker = _blocker(cfg.no_repeat_ngram_size)
@@ -272,9 +274,8 @@ def generate_batch(model, vocab, sources: list[list[int]], cfg: DecodeConfig,
     width = cfg.nbeam if cfg.method == "beam" else 1
     keep = cfg.max_outputs if cfg.method == "beam" else 1
     order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
-    size = max(batch_size, 1)
     out: list[list[Hypothesis]] = [[] for _ in sources]
-    for chunk in (order[lo:lo + size] for lo in range(0, len(order), size)):
+    for chunk in (order[lo:lo + batch_size] for lo in range(0, len(order), batch_size)):
         groups = [[sources[i] for i in group]
                   for _, group in groupby(chunk, key=lambda i: len(sources[i]))]
         rows = np.repeat(np.arange(len(chunk)), draws)

@@ -292,10 +292,7 @@ def m2_f05(source: str, hypothesis: str, gold: EditSet) -> float:
     and replacement). No edits on either side scores 100; edits on only
     one side score 0.
     """
-    sys_edits = extract_edits(source, hypothesis)
-    gold_set = set(gold.edits)
-    tp = sum(1 for e in sys_edits if e in gold_set)
-    return _f_beta(tp, len(sys_edits), len(gold.edits))
+    return m2_f05_corpus([source], [hypothesis], [gold])
 
 
 def m2_f05_corpus(sources: list[str], hypotheses: list[str], golds: list[EditSet]) -> float:

@@ -327,18 +327,13 @@ class Seq2SeqTransformer:
 
     def _attend(self, q: Tensor, k: Tensor, v: Tensor,
                 mask_add: np.ndarray | None, bias: Tensor | None) -> Tensor:
-        """Per-head attention output (B, H, Lq, dh)."""
+        """Per-head attention output (B, H, Lq, dh), dropout on the weights
+        in training mode."""
         # scaled dot-product keeps init-time logits near unit variance,
         # which matters for trainability at desk scale
         dh = self.config.d_model // self.config.n_heads
-        scores = T.matmul(T.mul(q, 1.0 / math.sqrt(dh)), T.transpose(k, (0, 1, 3, 2)))
-        if bias is not None:
-            scores = T.add(scores, bias)
-        if mask_add is not None:
-            scores = T.add(scores, Tensor(mask_add, dtype=q.data.dtype))
-        attn = T.softmax(scores, axis=-1)
-        attn = self._dropout(attn)
-        return T.matmul(attn, v)
+        rate = self.config.dropout_rate if self.training else 0.0
+        return T.attention(q, k, v, 1.0 / math.sqrt(dh), bias, mask_add, rate, self._rng)
 
     def _merge_heads(self, out: Tensor, base: str) -> Tensor:
         b, _, lq, _ = out.shape

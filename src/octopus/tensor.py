@@ -245,7 +245,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate <= 0.0:
         return x
     x = _as_tensor(x)
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
+    keep = rng.random(x.data.shape) >= rate  # bool: a quarter of a float32 mask
     scale = 1.0 / (1.0 - rate)
     data = x.data * keep * x.data.dtype.type(scale)
 
@@ -255,6 +255,19 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _make(data, (x,), vjp)
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    m = x.max(axis=axis, keepdims=True)
+    if np.isneginf(m).any():
+        raise ValueError("softmax over a fully masked (all -inf) slice")
+    e = np.exp(x - m)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_vjp(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    dot = (g * p).sum(axis=axis, keepdims=True)
+    return p * (g - dot)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along `axis`.
 
@@ -262,17 +275,59 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     error since it signals a fully masked attention position.
     """
     x = _as_tensor(x)
-    m = x.data.max(axis=axis, keepdims=True)
-    if np.isneginf(m).any():
-        raise ValueError("softmax over a fully masked (all -inf) slice")
-    e = np.exp(x.data - m)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = _softmax(x.data, axis)
+    return _make(p, (x,), lambda g: (_softmax_vjp(g, p, axis),))
+
+
+def attention(q, k, v, scale: float, bias=None, mask_add=None,
+              rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+    """softmax(q*scale @ kᵀ + bias + mask_add) @ v over the last two axes,
+    with inverted dropout of the attention weights when rate > 0, as one
+    graph node.
+
+    bias (a Tensor, differentiable) and mask_add (an array of 0/-inf, not
+    differentiable) broadcast against the (..., Lq, Lk) scores. The float
+    ops are those of the composed mul/matmul/add/softmax/dropout/matmul
+    path, in the same order and drawing the dropout mask from rng at the
+    same point, so outputs and gradients equal it bit for bit; the vjp keeps
+    only the attention weights and a bool keep mask instead of that path's
+    six score-sized arrays.
+    """
+    q = _as_tensor(q)
+    k, v = _as_tensor(k, like=q), _as_tensor(v, like=q)
+    dt = q.data.dtype
+    s = np.asarray(scale, dtype=dt)
+    kt = np.swapaxes(k.data, -1, -2)
+    scores = np.matmul(q.data * s, kt)
+    parents = (q, k, v)
+    if bias is not None:
+        bias = _as_tensor(bias, like=q)
+        parents += (bias,)
+        scores += bias.data
+    if mask_add is not None:
+        scores += np.asarray(mask_add, dtype=dt)
+    p = _softmax(scores, -1)
+    keep = None
+    if rate > 0.0:
+        keep = rng.random(p.shape) >= rate
+        drop_scale = 1.0 / (1.0 - rate)
+    weights = p if keep is None else p * keep * dt.type(drop_scale)
+    out = np.matmul(weights, v.data)
 
     def vjp(g):
-        dot = (g * p).sum(axis=axis, keepdims=True)
-        return (p * (g - dot),)
+        w = p if keep is None else p * keep * dt.type(drop_scale)
+        gw = _unbroadcast(np.matmul(g, np.swapaxes(v.data, -1, -2)), p.shape)
+        gv = _unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.data.shape)
+        if keep is not None:
+            gw = gw * keep * drop_scale
+        gs = _softmax_vjp(gw, p, -1)
+        gq = _unbroadcast(np.matmul(gs, k.data) * s, q.data.shape)
+        gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(q.data * s, -1, -2), gs),
+                                      kt.shape), -1, -2)
+        grads = (gq, gk, gv)
+        return grads if bias is None else grads + (_unbroadcast(gs, bias.data.shape),)
 
-    return _make(p, (x,), vjp)
+    return _make(out, parents, vjp)
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
@@ -357,10 +412,17 @@ def cross_entropy(logits: Tensor, targets, ignore_id: int = -100) -> Tensor:
     return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), vjp)
 
 
+def _freed(g):
+    raise RuntimeError("backward through a graph that an earlier backward already freed")
+
+
 def backward(loss: Tensor):
     """Populate grads of every requires_grad leaf reachable from `loss`.
 
-    Repeated calls without zero_grad accumulate into `grad`.
+    The walk frees the graph as it goes: each op result drops its inputs
+    and its saved state once its vjp has run, so call backward once per
+    graph; walking a freed part again raises RuntimeError. Gradients of
+    leaves accumulate into `grad` across graphs until zero_grad.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -385,18 +447,22 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
-    for node in reversed(topo):
+    while topo:
+        # popping drops the list's reference, so a node dies once its consumers have run
+        node = topo.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._vjp is None:
-            if node.requires_grad:
+        vjp, parents = node._vjp, node._parents
+        if vjp is None:
+            if g is not None and node.requires_grad:
                 if node.grad is None:
                     node.grad = np.array(g, dtype=node.data.dtype, copy=True)
                 else:
                     node.grad = node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        node._vjp, node._parents = _freed, ()
+        if g is None:
+            continue
+        for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)

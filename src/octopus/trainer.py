@@ -334,6 +334,8 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
     total = runner.total_steps()
     losses: list[float] = []
     metas: list[CheckpointMeta] = []
+    if resume_from is not None and out_dir is not None:
+        metas = _metas_up_to(out_dir, start_step)
     window: list[float] = []
     try:
         for step in range(start_step, total):
@@ -402,6 +404,23 @@ def _eval_and_checkpoint(runner: _Trainer, opt: AdamState, step: int,
     with open(out_dir / "checkpoints.jsonl", "a", encoding="utf-8") as f:
         f.write(meta.to_json() + "\n")
     return meta
+
+
+def _metas_up_to(out_dir: Path, step: int) -> list[CheckpointMeta]:
+    """Checkpoints out_dir/checkpoints.jsonl records at or before `step`, one
+    per step; the file is cut back to them, since a resumed run rewrites
+    the later ones."""
+    path = out_dir / "checkpoints.jsonl"
+    if not path.exists():
+        return []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    by_step = {m.step: m for m in map(CheckpointMeta.from_json, filter(None, lines))
+               if m.step <= step}
+    metas = [by_step[k] for k in sorted(by_step)]
+    tmp = path.with_suffix(".jsonl.tmp")
+    tmp.write_text("".join(m.to_json() + "\n" for m in metas), encoding="utf-8")
+    tmp.replace(path)
+    return metas
 
 
 def train_over_seeds(make_model, vocab: Vocabulary, cfg: TrainConfig, data: Datasets,

@@ -89,6 +89,16 @@ def test_parse_args_bad_enum_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("mode", ["batch", "interactive"])
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_parse_args_batch_size_below_one_exits_2(mode, size, capsys):
+    argv = ["-p", "diacritize", "-t", "x"] if mode == "batch" else []
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv + ["-bs", size], mode=mode)
+    assert exc.value.code == 2
+    assert "--batch-size: must be >= 1" in capsys.readouterr().err
+
+
 def test_parse_args_alias_canonicalized():
     args = parse_args(["-p", "transliterate_ar2en", "-t", "x"])
     assert args.prefix == "translitrate_ar2en"

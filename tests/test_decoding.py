@@ -349,6 +349,12 @@ def test_generate_batch_shares_steps_across_lengths(tiny_setup, monkeypatch):
     assert len(calls) > 5
 
 
+def test_generate_batch_rejects_batch_size_below_one(tiny_setup):
+    model, vocab = tiny_setup
+    with pytest.raises(ValueError, match="batch_size"):
+        generate_batch(model, vocab, [[3, 4]], DecodeConfig(method="greedy"), 0)
+
+
 def test_generate_batch_no_sources(tiny_setup):
     model, vocab = tiny_setup
     assert generate_batch(model, vocab, [], DecodeConfig()) == []

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -232,3 +233,90 @@ def test_adam_rejects_non_finite_grads():
     state = AdamState.init(p, learning_rate=0.1)
     with pytest.raises(ValueError):
         adam_step(p, {"w": np.array([np.nan], dtype=np.float32)}, state)
+
+
+# ---- fused attention and graph freeing ----
+
+def _attention_inputs(rng, dtype, mask_kind):
+    b, h, lq, lk, dh = 2, 2, 4, 4, 3
+    q, k, v = (Tensor(rng.standard_normal((b, h, n, dh)), requires_grad=True, dtype=dtype)
+               for n in (lq, lk, lk))
+    bias = Tensor(rng.standard_normal((1, h, lq, lk)), requires_grad=True, dtype=dtype)
+    if mask_kind == "key":  # the second source's last key is padding
+        mask = np.zeros((b, 1, 1, lk), dtype=dtype)
+        mask[1, ..., -1] = -np.inf
+    else:
+        mask = np.triu(np.full((1, 1, lq, lk), -np.inf, dtype=dtype), k=1)
+    return q, k, v, bias, mask
+
+
+def _composed_attention(q, k, v, scale, bias, mask, rate, rng):
+    """The separate-op attention path, with a float 0/1 dropout mask."""
+    scores = T.matmul(T.mul(q, scale), T.transpose(k, (0, 1, 3, 2)))
+    attn = T.softmax(T.add(T.add(scores, bias), Tensor(mask, dtype=q.dtype)), axis=-1)
+    keep = (rng.random(attn.shape) >= rate).astype(q.dtype)
+    attn = T.mul(T.mul(attn, Tensor(keep, dtype=q.dtype)), 1.0 / (1.0 - rate))
+    return T.matmul(attn, v)
+
+
+@pytest.mark.parametrize("mask_kind", ["key", "causal"])
+def test_attention_matches_finite_differences(mask_kind):
+    rng = np.random.default_rng(7)
+    q, k, v, bias, mask = _attention_inputs(rng, np.float64, mask_kind)
+    weights = rng.standard_normal((2, 2, 4, 3))
+
+    def loss_of(*xs):
+        out = T.attention(*xs[:3], 0.5, xs[3], mask, rate=0.3, rng=np.random.default_rng(5))
+        return (out * weights).sum()
+
+    loss_of(q, k, v, bias).backward()
+    constants = [Tensor(x.data, dtype=np.float64) for x in (q, k, v, bias)]  # share the arrays
+    for x in (q, k, v, bias):
+        fd = finite_difference_grads(lambda: float(loss_of(*constants).data), x.data)
+        assert max_rel_error(x.grad, fd) < 1e-6
+
+
+@pytest.mark.parametrize("mask_kind", ["key", "causal"])
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_attention_equals_composed_ops_bit_for_bit(mask_kind, rate):
+    rng = np.random.default_rng(8)
+    inputs = _attention_inputs(rng, np.float32, mask_kind)
+    g = rng.standard_normal((2, 2, 4, 3)).astype(np.float32)
+    runs = []
+    for fused in (True, False):
+        q, k, v, bias = (Tensor(x.data, requires_grad=True) for x in inputs[:4])
+        drop = np.random.default_rng(5)
+        if fused:
+            out = T.attention(q, k, v, 1.0 / math.sqrt(3), bias, inputs[4], rate, drop)
+        else:
+            out = _composed_attention(q, k, v, 1.0 / math.sqrt(3), bias, inputs[4], rate, drop)
+        (out * g).sum().backward()
+        runs.append([out.data] + [x.grad for x in (q, k, v, bias)])
+    for a, b in zip(*runs):
+        assert a.dtype == b.dtype == np.float32
+        assert np.array_equal(a, b)
+
+
+def test_attention_fully_masked_row_errors():
+    q = k = v = Tensor(np.ones((1, 1, 2, 2)))
+    mask = np.full((1, 1, 1, 2), -np.inf, dtype=np.float32)
+    with pytest.raises(ValueError, match="fully masked"):
+        T.attention(q, k, v, 1.0, mask_add=mask)
+
+
+def test_backward_frees_the_graph():
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    shared = x * 3.0
+    h = T.relu(shared)
+    ref = weakref.ref(h.data)
+    loss = (h * h).sum()
+    other = (shared * 2.0).sum()  # a second loss sharing a subgraph of the first
+    del shared, h
+    assert ref() is not None
+    loss.backward()
+    assert ref() is None
+    assert np.allclose(x.grad, [18.0, 0.0, 54.0])
+    with pytest.raises(RuntimeError):
+        loss.backward()
+    with pytest.raises(RuntimeError):
+        other.backward()

@@ -116,6 +116,31 @@ def test_resume_matches_uninterrupted(tmp_path):
         assert np.array_equal(p.data, resumed.parameters()[name].data), name
 
 
+def test_resume_into_same_dir_keeps_earlier_best(tmp_path):
+    # at this learning rate the dev score is best at step 5, before the resume point
+    examples, vocab, cfg, _ = _mini_setup()
+    data = Datasets(tasks=[TaskData("translitrate_ar2en", examples[:48], examples[48:])])
+
+    def run(out_dir, max_steps, resume_from=None):
+        tc = TrainConfig(strategy="single_task", batch_size=8, max_steps=max_steps, seed=3,
+                         eval_every=5, learning_rate=3e-2, out_dir=out_dir)
+        return train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data, resume_from=resume_from)
+
+    straight = run(tmp_path / "full", 15)
+    best_step = straight.metas[straight.best_index].step
+    assert best_step == 5
+
+    run(tmp_path / "run", 10)  # interrupted after writing steps 5 and 10
+    resumed = run(tmp_path / "run", 15, resume_from=tmp_path / "run" / "step_000005")
+    assert [m.step for m in resumed.metas] == [5, 10, 15]
+    assert resumed.metas[resumed.best_index].step == best_step
+    assert ((tmp_path / "run" / "best" / "model.octo").read_bytes()
+            == (tmp_path / "full" / "best" / "model.octo").read_bytes())
+    lines = (tmp_path / "run" / "checkpoints.jsonl").read_text().splitlines()
+    assert [(m.step, m.score) for m in map(CheckpointMeta.from_json, lines)] == \
+        [(m.step, m.score) for m in straight.metas]
+
+
 def test_joint_zero_labeled_equals_pretrain():
     texts = [f"the cat sees the dog {i}" for i in range(20)]
     vocab = build_vocab(texts, max_size=120, sentinels=8)
