@@ -101,6 +101,9 @@ def load_toolkit(model_path: str) -> tuple[Seq2SeqTransformer, Vocabulary]:
     root = Path(model_path)
     config = ModelConfig.from_json((root / "config.json").read_text(encoding="utf-8"))
     vocab = Vocabulary.load(root / "vocab.txt")
+    if vocab.vocab_size != config.vocab_size:
+        raise ValueError(f"the vocabulary has {vocab.vocab_size} ids "
+                         f"but the model has {config.vocab_size}")
     model = Seq2SeqTransformer(config)
     model.load(root / "model.octo")
     model.set_train(False)
@@ -129,6 +132,27 @@ def _encode(model, vocab, prefix: str, text: str, what: str = "input") -> list[i
     return ids
 
 
+def _setup(args: CliArgs, stderr):
+    """(decoding config, model, vocabulary) of a command, or its exit code
+    once the failure is printed. Warns once when -s asks for more tokens
+    than the model can generate."""
+    try:
+        cfg = _decode_config(args)
+    except ValueError as e:
+        print(f"error: {e}", file=stderr)
+        return 2
+    try:
+        model, vocab = load_toolkit(args.model_path)
+    except (OSError, ValueError) as e:
+        print(f"error: cannot load model from {args.model_path}: {e}", file=stderr)
+        return 1
+    limit = model.config.max_seq_len - 1  # the decoder context holds the start token too
+    if cfg.seq_length > limit:
+        print(f"warning: -s {cfg.seq_length} exceeds this model's limit; "
+              f"outputs stop at {limit} tokens", file=stderr)
+    return cfg, model, vocab
+
+
 def _generate_all(model, vocab, texts: list[str], prefix: str,
                   cfg: DecodeConfig, batch_size: int) -> list[list[str]]:
     """Hypothesis texts per input (all checked by run_batch), batch_size at a time."""
@@ -142,25 +166,19 @@ def run_batch(args: CliArgs, stdout=None, stderr=None) -> int:
     "target{i}: <text>" blocks separated by blank lines."""
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    try:
-        cfg = _decode_config(args)
-    except ValueError as e:
-        print(f"error: {e}", file=stderr)
-        return 2
+    setup = _setup(args, stderr)
+    if isinstance(setup, int):
+        return setup
+    cfg, model, vocab = setup
     if args.text is not None:
         lines = [(1, args.text)]
     else:
         try:
             with open(args.input_file, encoding="utf-8") as f:
                 lines = [(n, line.rstrip("\n")) for n, line in enumerate(f, 1) if line.strip()]
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             print(f"error: cannot read input file: {e}", file=stderr)
             return 1
-    try:
-        model, vocab = load_toolkit(args.model_path)
-    except (OSError, ValueError) as e:
-        print(f"error: cannot load model from {args.model_path}: {e}", file=stderr)
-        return 1
     for n, text in lines:
         try:
             _encode(model, vocab, args.prefix, text)
@@ -202,16 +220,10 @@ def repl_loop(args: CliArgs, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    try:
-        cfg = _decode_config(args)
-    except ValueError as e:
-        print(f"error: {e}", file=stderr)
-        return 2
-    try:
-        model, vocab = load_toolkit(args.model_path)
-    except (OSError, ValueError) as e:
-        print(f"error: cannot load model from {args.model_path}: {e}", file=stderr)
-        return 1
+    setup = _setup(args, stderr)
+    if isinstance(setup, int):
+        return setup
+    cfg, model, vocab = setup
 
     stdout.write("Octopus Interactive CLI\n")
     stdout.write(f"Loading model from {args.model_path}\n")

@@ -223,26 +223,21 @@ def sampling_search(step_fn: StepFn, cfg: DecodeConfig, eos_id: int,
 
 
 def _cached_step(model, vocab, groups: list[list[list[int]]], rows) -> BatchStep:
-    """Encode each group of sources once as a padded batch and return a
-    step over cached decoder rows; row i starts on source rows[i], counted
+    """Encode each group of equal-length sources once, unpadded, and return
+    a step over cached decoder rows; row i starts on source rows[i], counted
     across the groups in order. Each call keeps the parents' cache rows
     and decodes only the newest token of each prefix (the start token,
     pad, on the first step)."""
-    encs, masks = [], []
-    for sources in groups:
-        lengths = np.array([len(s) for s in sources])
-        src = np.array([[*s, *[vocab.pad_id] * (lengths.max() - len(s))] for s in sources],
-                       dtype=np.int64)
-        masks.append(np.arange(src.shape[1]) < lengths[:, None])
-        with no_grad():
-            encs.append(model.encode(src, masks[-1]))
+    with no_grad():
+        encs = [model.encode(np.array(sources), np.ones((len(sources), len(sources[0])), bool))
+                for sources in groups]
     cache = DecoderCache(rows)
 
     def step(parents: np.ndarray, prefixes: list[tuple[int, ...]]) -> np.ndarray:
         cache.reorder(parents)
         dec = np.asarray([[p[-1] if p else vocab.pad_id] for p in prefixes], dtype=np.int64)
         with no_grad():
-            logits = model.decode_logits(encs, masks, dec, cache=cache)
+            logits = model.decode_logits(encs, None, dec, cache=cache)
         lp = logits.data[:, -1].astype(np.float64)
         lp -= lp.max(axis=-1, keepdims=True)
         return lp - np.log(np.exp(lp).sum(axis=-1, keepdims=True))
@@ -298,14 +293,8 @@ def generate(model, vocab, source_ids: list[int], cfg: DecodeConfig) -> list[Hyp
 def greedy_decode_batch(
     model, vocab, sources: list[list[int]], max_len: int, no_repeat_ngram_size: int = 0
 ) -> list[list[int]]:
-    """Batched greedy decoding; the fast path for dev-set evaluation.
-
-    Returns one id list per source, eos stripped.
-    """
-    if not sources:
-        return []
-    max_len = min(max_len, model.config.max_seq_len - 1)
-    step = _cached_step(model, vocab, [sources], np.arange(len(sources)))
-    blocker = _blocker(no_repeat_ngram_size)
-    pools = _search(step, len(sources), 1, max_len, vocab.eos_id, blocker)
-    return [h.ids[:-1] if h.finished else h.ids for (h,) in pools]
+    """Greedy `generate_batch` over all sources in one chunk; one id list
+    per source, eos stripped."""
+    cfg = DecodeConfig("greedy", seq_length=max_len, no_repeat_ngram_size=no_repeat_ngram_size)
+    hyps = generate_batch(model, vocab, sources, cfg, max(len(sources), 1))
+    return [h.ids[:-1] if h.finished else h.ids for (h,) in hyps]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass
 
@@ -32,15 +33,14 @@ class ModelConfig:
     max_seq_len: int = 128
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_heads", "d_ff", "relpos_num_buckets",
-                     "relpos_max_distance", "max_seq_len"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.n_enc_layers < 0 or self.n_dec_layers < 0:
-            raise ValueError("layer counts must be non-negative")
+        for name in ("vocab_size", "d_model", "n_heads", "d_ff", "n_enc_layers", "n_dec_layers",
+                     "relpos_num_buckets", "relpos_max_distance", "max_seq_len"):
+            value, least = getattr(self, name), 0 if name.endswith("layers") else 1
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if not 0.0 <= self.dropout_rate < 1.0:
+        if not (isinstance(self.dropout_rate, numbers.Real) and 0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
 
     def to_json(self) -> str:
@@ -48,7 +48,11 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
-        return cls(**json.loads(text))
+        """Parse to_json output; ValueError when it is malformed."""
+        try:
+            return cls(**json.loads(text))
+        except TypeError as e:  # not a JSON object, or unknown or missing fields
+            raise ValueError(f"malformed model config: {e}") from e
 
 
 def relative_position_bucket(
@@ -201,10 +205,11 @@ class DecoderCache:
     """Keys and values of the decoder positions seen so far, for
     incremental decoding with `Seq2SeqTransformer.decode_logits`.
 
-    Decoder row i reads source `rows[i]`, so one encoded source can feed
-    several rows (beams, sampled draws). Self-attention keys and values
-    gain a position per decoded token; cross-attention keys and values
-    are projected once per source on the first call and then read by row.
+    Decoder row i reads source `rows[i]`, counted across the unpadded source
+    groups in order, so one encoded source can feed several rows (beams,
+    sampled draws). Self-attention keys and values gain a position per
+    decoded token; cross-attention keys and values are projected once per
+    group on the first call and then read by row.
     Inference only: cached arrays carry no gradient.
     """
 
@@ -214,6 +219,7 @@ class DecoderCache:
         self.kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # self-attention -> (B, H, L, dh)
         # cross-attention -> one (k, v) pair per source group, (n, H, S, dh) each
         self.cross: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._groups: list[tuple[int, slice | np.ndarray, slice | np.ndarray]] | None = None
 
     def append(self, name: str, k: np.ndarray, v: np.ndarray):
         """Add new self-attention positions after the cached ones; return
@@ -230,6 +236,26 @@ class DecoderCache:
             return
         self.rows = self.rows[parents]
         self.kv = {name: (k[parents], v[parents]) for name, (k, v) in self.kv.items()}
+        self._groups = None
+
+    def row_groups(self, sizes: list[int]):
+        """For each source group (of the given sizes) that some row reads:
+        (group, the positions of its rows, their sources within the group).
+        Kept until `reorder` changes the rows; a contiguous run of indices
+        is a slice, so reading it copies nothing."""
+        if self._groups is None:
+            self._groups, first = [], 0
+            for g, n in enumerate(sizes):
+                sel = np.flatnonzero((self.rows >= first) & (self.rows < first + n))
+                if len(sel):
+                    self._groups.append((g, _as_slice(sel), _as_slice(self.rows[sel] - first)))
+                first += n
+        return self._groups
+
+
+def _as_slice(idx: np.ndarray) -> slice | np.ndarray:
+    """A slice equal to the index array idx when it counts up by one."""
+    return slice(idx[0], idx[-1] + 1) if (np.diff(idx) == 1).all() else idx
 
 
 class Seq2SeqTransformer:
@@ -316,47 +342,46 @@ class Seq2SeqTransformer:
     def _attention(self, x_q: Tensor, x_kv: Tensor, base: str,
                    mask_add: np.ndarray | None, bias: Tensor | None,
                    cache: DecoderCache | None = None) -> Tensor:
-        """Multi-head attention of x_q over x_kv; with a cache (self-attention
-        only) the new keys and values are appended to the cached ones."""
+        """Multi-head attention of x_q over x_kv, dropout on the weights in
+        training mode; with a cache (self-attention only) the new keys and
+        values are appended to the cached ones."""
         q = self._heads(x_q, f"{base}.wq")
         k = self._heads(x_kv, f"{base}.wk")
         v = self._heads(x_kv, f"{base}.wv")
         if cache is not None:
             k, v = (Tensor(a, dtype=a.dtype) for a in cache.append(base, k.data, v.data))
-        return self._merge_heads(self._attend(q, k, v, mask_add, bias), base)
-
-    def _attend(self, q: Tensor, k: Tensor, v: Tensor,
-                mask_add: np.ndarray | None, bias: Tensor | None) -> Tensor:
-        """Per-head attention output (B, H, Lq, dh), dropout on the weights
-        in training mode."""
         # scaled dot-product keeps init-time logits near unit variance,
         # which matters for trainability at desk scale
-        dh = self.config.d_model // self.config.n_heads
         rate = self.config.dropout_rate if self.training else 0.0
-        return T.attention(q, k, v, 1.0 / math.sqrt(dh), bias, mask_add, rate, self._rng)
+        out = T.attention(q, k, v, 1.0 / math.sqrt(q.shape[-1]), bias, mask_add, rate, self._rng)
+        return self._merge_heads(out, base)
 
     def _merge_heads(self, out: Tensor, base: str) -> Tensor:
         b, _, lq, _ = out.shape
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, lq, self.config.d_model))
         return T.matmul(out, self.params[f"{base}.wo"])
 
-    def _cached_cross(self, x_q: Tensor, memory, groups, base: str,
+    def _cached_cross(self, x_q: Tensor, enc_hidden: list[Tensor], base: str,
                       cache: DecoderCache) -> Tensor:
         """Cross-attention of cached rows, each over its own source group.
 
-        Each group's keys and values are projected once and gathered by row
+        Each group's keys and values are projected once and read by row
         every step; rows of different groups meet only in the projections,
-        so every row sees the operands of a decode of its group alone.
+        so every row sees the operands of a decode of its group alone. The
+        float ops are those of `tensor.attention`, on plain arrays; its
+        fully-masked-row check is left out, as no key is masked here.
         """
-        q = self._heads(x_q, f"{base}.wq")
+        q = self._heads(x_q, f"{base}.wq").data
         if base not in cache.cross:
             cache.cross[base] = [(self._heads(enc, f"{base}.wk").data,
-                                  self._heads(enc, f"{base}.wv").data) for enc, _ in memory]
-        out = np.empty(q.shape, dtype=q.data.dtype)
-        for (sel, loc, mask_add), (k, v) in zip(groups, cache.cross[base]):
-            if len(loc):
-                qs, ks, vs = (Tensor(a, dtype=a.dtype) for a in (q.data[sel], k[loc], v[loc]))
-                out[sel] = self._attend(qs, ks, vs, mask_add, None).data
+                                  self._heads(enc, f"{base}.wv").data) for enc in enc_hidden]
+        out = np.empty_like(q)
+        q = q * q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+        for g, sel, loc in cache.row_groups([enc.shape[0] for enc in enc_hidden]):
+            k, v = cache.cross[base][g]
+            scores = np.matmul(q[sel], np.swapaxes(k[loc], -1, -2))
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            out[sel] = np.matmul(e / e.sum(axis=-1, keepdims=True), v[loc])
         return self._merge_heads(Tensor(out, dtype=out.dtype), base)
 
     def _ff(self, x: Tensor, base: str) -> Tensor:
@@ -405,10 +430,12 @@ class Seq2SeqTransformer:
         Without a cache, dec_ids is the whole decoder input (teacher
         forcing). With a DecoderCache, dec_ids holds only the next T
         positions of each cached row; their keys and values are appended
-        to the cache. enc_hidden/enc_mask may then also be lists, one
-        encoded batch per source group, whose sources are numbered across
-        the groups in order; `cache.rows` indexes that numbering.
+        to the cache. enc_hidden is then a list of unpadded encoded source
+        groups, whose sources are numbered across the groups in order
+        (`cache.rows` indexes that numbering), and enc_mask must be None.
         """
+        if cache is not None and enc_mask is not None:
+            raise ValueError("cached decoding reads unpadded source groups; pass enc_mask=None")
         dec_ids = np.asarray(dec_ids, dtype=np.int64)
         self._check_ids(dec_ids, "decoder ids")
         cfg = self.config
@@ -426,8 +453,6 @@ class Seq2SeqTransformer:
                   if t_len > 1 else None)
         if cache is None:
             cross_mask = self._key_mask_add(np.asarray(enc_mask, dtype=bool), dt)
-        else:
-            memory, groups = self._row_groups(enc_hidden, enc_mask, cache.rows, dt)
         bias = self._relpos_bias("decoder", start, t_len, end) if cfg.n_dec_layers else None
         for i in range(cfg.n_dec_layers):
             base = f"decoder.block{i}"
@@ -437,7 +462,7 @@ class Seq2SeqTransformer:
             h = T.rms_norm(x, self.params[f"{base}.cross.norm"])
             cross = (self._attention(h, enc_hidden, f"{base}.cross", cross_mask, None)
                      if cache is None else
-                     self._cached_cross(h, memory, groups, f"{base}.cross", cache))
+                     self._cached_cross(h, enc_hidden, f"{base}.cross", cache))
             x = T.add(x, self._dropout(cross))
             h = T.rms_norm(x, self.params[f"{base}.ff.norm"])
             x = T.add(x, self._dropout(self._ff(h, f"{base}.ff")))
@@ -447,24 +472,6 @@ class Seq2SeqTransformer:
         x = self._dropout(x)
         x = T.mul(x, 1.0 / math.sqrt(cfg.d_model))
         return T.matmul(x, T.transpose(emb, (1, 0)))
-
-    def _row_groups(self, enc_hidden, enc_mask, rows: np.ndarray, dtype):
-        """Source groups as (hidden, mask) pairs, and for each the cached
-        rows that read it: (their positions, their sources within the
-        group, the additive key mask or None)."""
-        if isinstance(enc_hidden, Tensor):
-            enc_hidden, enc_mask = [enc_hidden], [enc_mask]
-        memory = [(enc, np.asarray(mask, dtype=bool)) for enc, mask in zip(enc_hidden, enc_mask)]
-        groups, first = [], 0
-        for _, mask in memory:
-            sel, loc = slice(None), rows
-            if len(memory) > 1:
-                sel = np.flatnonzero((rows >= first) & (rows < first + len(mask)))
-                loc = rows[sel] - first
-            # an unpadded group needs no mask: adding zeros changes no score
-            groups.append((sel, loc, None if mask.all() else self._key_mask_add(mask[loc], dtype)))
-            first += len(mask)
-        return memory, groups
 
     def batch_loss(self, batch, pad_id: int = 0) -> Tensor:
         """Mean token cross-entropy over non-pad target positions."""

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .decoding import DecodeConfig, generate, greedy_decode_batch
+from .decoding import DecodeConfig, generate_batch
 from .metrics import EditSet, score_task
 from .model import Seq2SeqTransformer, load_checkpoint, save_checkpoint
 from .objectives import DenoisingConfig, Seq2SeqBatch, batch_from_ids, corrupt_spans, make_batch
@@ -27,11 +28,6 @@ from .tasks import Example, TaskSpec, task_for_prefix
 from .vocab import Vocabulary
 
 STRATEGIES = ("pretrain", "single_task", "multitask", "joint")
-
-# paper-scale presets, kept for reference next to the desk defaults
-PAPER_PRETRAIN_LR = 1e-3
-PAPER_FINETUNE_LR = 5e-5
-PAPER_FINETUNE_EPOCHS = 20
 
 # rng stream tags
 _DATA, _DROPOUT, _EPOCH, _BRANCH = 0, 1, 2, 3
@@ -68,19 +64,6 @@ class TrainConfig:
             for name, w in self.task_weights.items():
                 if not (w > 0 and math.isfinite(w)):
                     raise ValueError(f"mixing weight for {name!r} must be positive and finite")
-
-    @classmethod
-    def pretrain(cls, max_steps: int, **kw) -> "TrainConfig":
-        kw.setdefault("learning_rate", 1e-3)
-        kw.setdefault("batch_size", 32)
-        return cls(strategy="pretrain", max_steps=max_steps, **kw)
-
-    @classmethod
-    def finetune(cls, **kw) -> "TrainConfig":
-        kw.setdefault("strategy", "single_task")
-        kw.setdefault("learning_rate", 1e-3)  # desk scale; paper preset is 5e-5
-        kw.setdefault("batch_size", 8)
-        return cls(**kw)
 
 
 @dataclass
@@ -182,26 +165,20 @@ def sample_task_batch(mixer: TaskMixer, rng: np.random.Generator) -> tuple[str, 
 
 def evaluate_dev(model: Seq2SeqTransformer, vocab: Vocabulary, dev: list[Example],
                  task: TaskSpec, decode_cfg: DecodeConfig | None = None) -> float:
-    """Decode the dev set and score it with the task's metric.
+    """Decode the dev set and score each source's top hypothesis with the
+    task's metric.
 
-    Greedy decoding by default; training-time evaluation keeps the full
-    beam for final reporting. Pass a DecodeConfig to override.
+    Greedy decoding by default, capped at 8 tokens past the longest
+    reference; a non-greedy DecodeConfig keeps its own seq_length.
     """
     if not dev:
         raise ValueError("dev set is empty")
     sources = [vocab.encode(ex.model_source) for ex in dev]
-    max_ref = max(len(vocab.encode(ex.target)) for ex in dev)
-    max_new = min(model.config.max_seq_len - 1, max_ref + 8)
-    if decode_cfg is None or decode_cfg.method == "greedy":
-        block = decode_cfg.no_repeat_ngram_size if decode_cfg else 0
-        hyp_ids = []
-        for lo in range(0, len(sources), 64):
-            hyp_ids.extend(greedy_decode_batch(
-                model, vocab, sources[lo:lo + 64], max_new, block))
-        hyps = [vocab.decode(ids) for ids in hyp_ids]
-    else:
-        hyps = [vocab.decode(generate(model, vocab, src, decode_cfg)[0].ids)
-                for src in sources]
+    cfg = decode_cfg or DecodeConfig(method="greedy")
+    if cfg.method == "greedy":
+        max_ref = max(len(vocab.encode(ex.target)) for ex in dev)
+        cfg = replace(cfg, seq_length=min(model.config.max_seq_len - 1, max_ref + 8))
+    hyps = [vocab.decode(h[0].ids) for h in generate_batch(model, vocab, sources, cfg, 64)]
     refs = [ex.target for ex in dev]
     if task.metric == "f05_m2":
         golds = [EditSet(ex.gold_edits or []) for ex in dev]
@@ -327,15 +304,15 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     log_file = None
+    metas: list[CheckpointMeta] = []
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        if resume_from is not None:
+            metas = _cut_back(out_dir, start_step)
         log_file = open(out_dir / "loss_log.tsv", "a", encoding="utf-8")
 
     total = runner.total_steps()
     losses: list[float] = []
-    metas: list[CheckpointMeta] = []
-    if resume_from is not None and out_dir is not None:
-        metas = _metas_up_to(out_dir, start_step)
     window: list[float] = []
     try:
         for step in range(start_step, total):
@@ -406,10 +383,16 @@ def _eval_and_checkpoint(runner: _Trainer, opt: AdamState, step: int,
     return meta
 
 
-def _metas_up_to(out_dir: Path, step: int) -> list[CheckpointMeta]:
-    """Checkpoints out_dir/checkpoints.jsonl records at or before `step`, one
-    per step; the file is cut back to them, since a resumed run rewrites
-    the later ones."""
+def _cut_back(out_dir: Path, step: int) -> list[CheckpointMeta]:
+    """Cut a run's logs back to `step`, since a resumed run writes the
+    later entries again: loss_log.tsv keeps the steps before it, and
+    checkpoints.jsonl the checkpoints at or before it, one per step, which
+    are returned."""
+    log = out_dir / "loss_log.tsv"
+    if log.exists():
+        lines = filter(None, log.read_text(encoding="utf-8").splitlines())
+        _replace_text(log, "".join(f"{line}\n" for line in lines
+                                   if int(line.split("\t", 1)[0]) < step))
     path = out_dir / "checkpoints.jsonl"
     if not path.exists():
         return []
@@ -417,10 +400,16 @@ def _metas_up_to(out_dir: Path, step: int) -> list[CheckpointMeta]:
     by_step = {m.step: m for m in map(CheckpointMeta.from_json, filter(None, lines))
                if m.step <= step}
     metas = [by_step[k] for k in sorted(by_step)]
-    tmp = path.with_suffix(".jsonl.tmp")
-    tmp.write_text("".join(m.to_json() + "\n" for m in metas), encoding="utf-8")
-    tmp.replace(path)
+    _replace_text(path, "".join(m.to_json() + "\n" for m in metas))
     return metas
+
+
+def _replace_text(path: Path, text: str):
+    """Write text to path through a temporary file and a rename, so a crash
+    leaves either the old file or the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def train_over_seeds(make_model, vocab: Vocabulary, cfg: TrainConfig, data: Datasets,

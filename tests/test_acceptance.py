@@ -52,6 +52,10 @@ from octopus.vocab import build_vocab
 from helpers import brute_force_best, lcs_by_enumeration, toy_step_fn
 
 
+# minutes of training: `pytest -m "not slow"` runs the fast unit suite alone
+pytestmark = pytest.mark.slow
+
+
 def _passline(n, msg):
     print(f"\n[criterion {n}] PASS: {msg}")
 

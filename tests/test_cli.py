@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -248,6 +249,10 @@ def test_repl_overlong_line_reports_and_reprompts(checkpoint):
     assert len(targets) == 3  # the line after the over-long one still decodes
 
 
+# the REPL's -s 300 is above what the checkpoint (max_seq_len 96) can generate
+REPL_WARNING = "warning: -s 300 exceeds this model's limit; outputs stop at 95 tokens\n"
+
+
 def test_repl_overlong_stage_output_names_the_stage(checkpoint):
     # beam output of diacritize runs to the cap of 95 tokens; with the
     # "paraphrase: " prefix the second stage's source is 107 tokens
@@ -255,7 +260,8 @@ def test_repl_overlong_stage_output_names_the_stage(checkpoint):
     stdin = io.StringIO("diacritize, paraphrase\nab\nq\n")
     out, err = io.StringIO(), io.StringIO()
     assert repl_loop(args, stdin=stdin, stdout=out, stderr=err) == 0
-    assert err.getvalue() == ("error: line 2: input to paraphrase (output of diacritize) "
+    assert err.getvalue() == (REPL_WARNING +
+                              "error: line 2: input to paraphrase (output of diacritize) "
                               "is 107 tokens, the model accepts at most 96\n")
     assert "target" not in out.getvalue()
     assert out.getvalue().count("Type your source text or (q) to STOP:") == 2
@@ -427,3 +433,191 @@ def test_installed_console_script_smoke():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "--prefix" in proc.stdout
+
+
+def test_run_batch_warns_once_when_s_exceeds_the_model(checkpoint, tmp_path):
+    # the checkpoint's max_seq_len is 96: at most 95 generated tokens
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("ab\ncd\n", encoding="utf-8")
+    base = ["-p", "diacritize", "-f", str(inputs), "-m", "greedy", "--model-path", str(checkpoint)]
+    outs = []
+    for s, warning in (("2048", "warning: -s 2048 exceeds this model's limit; "
+                                "outputs stop at 95 tokens\n"), ("95", "")):
+        out, err = io.StringIO(), io.StringIO()
+        assert run_batch(parse_args([*base, "-s", s]), stdout=out, stderr=err) == 0
+        assert err.getvalue() == warning
+        outs.append(out.getvalue())
+    assert outs[0] == outs[1]
+
+
+def test_repl_warns_once_per_session_when_s_exceeds_the_model(checkpoint):
+    args = parse_args(["--model-path", str(checkpoint), "-m", "greedy"], mode="interactive")
+    out, err = io.StringIO(), io.StringIO()
+    assert repl_loop(args, stdin=io.StringIO("diacritize\nab\ncd\nq\n"), stdout=out,
+                     stderr=err) == 0
+    assert err.getvalue() == REPL_WARNING
+    assert len([l for l in out.getvalue().splitlines() if l.startswith("target")]) == 2
+
+
+# ---- fuzzing: every argv and input ends in exit code 0, 1 or 2 ----
+
+FUZZ_CASES = 400
+FUZZ_TEXTS = ["ab", "", " ", "a" * 200, "\x00\x01", "ا ب", "\udcff", "x\ny", "q", "-t"]
+FUZZ_FLAGS = {  # flag -> (good values, bad values)
+    "-o": (["1", "2", "3"], ["0", "-1", "x"]),
+    "-bs": (["1", "3", "16"], ["0", "-2", "1.5"]),
+    "-s": (["1", "4", "95", "96", "2048"], ["0", "-3", "abc"]),
+    "-m": (["greedy", "beam", "sampling"], ["magic", ""]),
+    "-nb": (["1", "3", "5"], ["0", "-1"]),
+    "-ng": (["0", "1", "2"], ["-1", "z"]),
+    "-k": (["0", "3", "1000"], ["-2", "1e3"]),
+    "--top-p": (["1.0", "0.5", "1e-9"], ["0", "1.5", "nan", "-inf", "p"]),
+    "-c": (["cache"], []),
+    "-l": (["LOG"], ["DIR", "MISSING/log.txt"]),
+}
+FUZZ_STDIN = ["diacritize", "paraphrase, diacritize", "nope", ",", "ab", "a" * 200, "", "q"]
+
+
+def _fuzz_inputs(root):
+    """Input files (and paths that are not readable files) by name."""
+    rng = np.random.default_rng(0)
+    contents = {
+        "empty": b"",
+        "blank": b"\n\n  \n\t\n",
+        "binary": rng.integers(0, 256, size=300, dtype=np.uint8).tobytes(),
+        "bad_utf8": b"ab\n\xff\xfe cd\n",
+        "overlong": b"ab\n" + b"a" * 500 + b"\n",
+        "crlf": b"ab\r\ncd\r\n",
+        "lines": b"ab\ncd\nefg\n",
+    }
+    files = {}
+    for name, data in contents.items():
+        files[name] = root / name
+        files[name].write_bytes(data)
+    files["dir"] = root
+    files["missing"] = root / "missing.txt"
+    return [str(path) for path in files.values()]
+
+
+def _broken_checkpoints(checkpoint, root):
+    """Model directories that are missing, corrupt or disagree with themselves."""
+    import shutil
+
+    def variant(name, file, text):
+        path = root / name
+        shutil.copytree(checkpoint, path)
+        (path / file).write_text(text, encoding="utf-8")
+        return str(path)
+
+    config = json.loads((checkpoint / "config.json").read_text(encoding="utf-8"))
+    small = root / "small_model"  # consistent itself, but smaller than the vocabulary
+    shutil.copytree(checkpoint, small)
+    small_cfg = ModelConfig(**{**config, "vocab_size": 20})
+    Seq2SeqTransformer(small_cfg).save(small / "model.octo")
+    (small / "config.json").write_text(small_cfg.to_json(), encoding="utf-8")
+    return [
+        str(small),
+        str(root / "no_such_model"),
+        variant("bad_json", "config.json", "{"),
+        variant("list_config", "config.json", "[1, 2]"),
+        variant("unknown_key", "config.json", json.dumps({**config, "wat": 1})),
+        variant("string_field", "config.json", json.dumps({**config, "d_model": "16"})),
+        variant("float_field", "config.json", json.dumps({**config, "d_model": 16.0})),
+        variant("empty_vocab", "vocab.txt", ""),
+        variant("bad_vocab_header", "vocab.txt", "vocab_size=x\tsentinels=y\tunit=char\n"),
+    ]
+
+
+def _fuzz_case(rng, checkpoint, broken, files, tmp_path):
+    """(entry point, argv, stdin text) for one random invocation."""
+    pick = lambda values: values[int(rng.integers(len(values)))]  # noqa: E731
+    entry = pick(["batch", "task", "interactive"])
+    argv = []
+    if entry == "batch" and rng.random() < 0.9:
+        argv += ["-p", pick(["diacritize", "translitrate_ar2en", "paraphrase", "nope"])]
+    if entry != "interactive":
+        inputs = pick([["-t"], ["-f"]] * 9 + [["-t", "-f"], []])
+        for flag in inputs:
+            argv += [flag, pick(FUZZ_TEXTS if flag == "-t" else files)]
+    for flag, (good, bad) in FUZZ_FLAGS.items():
+        if rng.random() < 0.3:
+            value = pick(bad if bad and rng.random() < 0.15 else good)
+            value = {"LOG": str(tmp_path / "log.txt"), "DIR": str(tmp_path)}.get(
+                value, str(tmp_path / value) if "/" in value else value)
+            argv += [flag, value]
+    if rng.random() < 0.05:
+        argv.insert(int(rng.integers(len(argv) + 1)), pick(["--wat", "-", "--", "-x"]))
+    argv += ["--model-path", str(checkpoint) if rng.random() < 0.8 else pick(broken)]
+    stdin = "".join(pick(FUZZ_STDIN) + "\n" for _ in range(int(rng.integers(0, 5))))
+    return entry, argv, stdin
+
+
+def test_cli_fuzz_exits_0_1_or_2(checkpoint, tmp_path, monkeypatch):
+    """Seeded random argv lists and input files: every call ends with exit
+    code 0, 1 or 2 and raises nothing else (a traceback in a real shell)."""
+    import contextlib
+
+    from octopus.cli import interactive_main, main_diacritize
+
+    files = _fuzz_inputs(tmp_path)
+    broken = _broken_checkpoints(checkpoint, tmp_path / "models")
+    entries = {"batch": main, "task": main_diacritize, "interactive": interactive_main}
+    rng = np.random.default_rng(1234)
+    codes = []
+    for _ in range(FUZZ_CASES):
+        entry, argv, stdin = _fuzz_case(rng, checkpoint, broken, files, tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = entries[entry](argv)
+            except SystemExit as e:
+                code = e.code
+            except Exception as e:  # noqa: BLE001 - the failure names the call
+                pytest.fail(f"{entry} {argv!r} stdin={stdin!r} raised {e!r}")
+        assert code in (0, 1, 2), (entry, argv, code)
+        assert "Traceback" not in err.getvalue()
+        assert code == 0 or "error" in err.getvalue(), (entry, argv, code)
+        codes.append(code)
+    assert {0, 1, 2} <= set(codes)
+
+
+def test_run_batch_non_utf8_file_exits_1(checkpoint, tmp_path):
+    inputs = tmp_path / "in.txt"
+    inputs.write_bytes(b"ab\n\xff\xfe cd\n")
+    args = parse_args(["-p", "diacritize", "-f", str(inputs), "-s", "6",
+                       "--model-path", str(checkpoint)])
+    out, err = io.StringIO(), io.StringIO()
+    assert run_batch(args, stdout=out, stderr=err) == 1
+    assert err.getvalue().startswith("error: cannot read input file: 'utf-8' codec")
+    assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("config", ['[1, 2]', '{"vocab_size": 41, "wat": 1}',
+                                    '{"vocab_size": "41"}', '{"vocab_size": 41, "d_model": 16.0}'])
+def test_run_batch_malformed_model_config_exits_1(checkpoint, tmp_path, config):
+    import shutil
+
+    root = tmp_path / "best"
+    shutil.copytree(checkpoint, root)
+    (root / "config.json").write_text(config, encoding="utf-8")
+    args = parse_args(["-p", "diacritize", "-t", "x", "--model-path", str(root)])
+    err = io.StringIO()
+    assert run_batch(args, stdout=io.StringIO(), stderr=err) == 1
+    assert err.getvalue().startswith(f"error: cannot load model from {root}: ")
+
+
+def test_run_batch_vocab_larger_than_model_exits_1(checkpoint, tmp_path):
+    # a model that cannot read every id of its vocabulary is rejected at load
+    import shutil
+
+    root = tmp_path / "best"
+    shutil.copytree(checkpoint, root)
+    cfg = ModelConfig.from_json((root / "config.json").read_text(encoding="utf-8"))
+    cfg.vocab_size = 20
+    Seq2SeqTransformer(cfg).save(root / "model.octo")
+    (root / "config.json").write_text(cfg.to_json(), encoding="utf-8")
+    args = parse_args(["-p", "diacritize", "-t", "xyz", "--model-path", str(root)])
+    err = io.StringIO()
+    assert run_batch(args, stdout=io.StringIO(), stderr=err) == 1
+    assert "the vocabulary has 41 ids but the model has 20" in err.getvalue()

@@ -265,12 +265,19 @@ def _biased_model():
     return model
 
 
-def _cached_logits(model, enc, mask, dec, rows, chunks):
+def _unpadded_groups(model, batch):
+    """Each source of a padded batch encoded alone, unpadded: one group per
+    source, so the sources keep their batch row numbers."""
+    return [model.encode(ids[keep][None], keep[keep][None])
+            for ids, keep in zip(batch.enc_ids, batch.enc_mask)]
+
+
+def _cached_logits(model, groups, dec, rows, chunks):
     """Feed dec to a DecoderCache in column chunks; concatenated logits."""
     cache = DecoderCache(rows)
     out, pos = [], 0
     for n in chunks:
-        out.append(model.decode_logits(enc, mask, dec[:, pos:pos + n], cache=cache).data)
+        out.append(model.decode_logits(groups, None, dec[:, pos:pos + n], cache=cache).data)
         pos += n
     assert cache.length == pos
     return np.concatenate(out, axis=1)
@@ -285,8 +292,9 @@ def test_cached_decode_matches_uncached():
     with no_grad():
         enc = model.encode(batch.enc_ids, batch.enc_mask)
         full = model.decode_logits(enc, batch.enc_mask, dec).data
+        groups = _unpadded_groups(model, batch)
         for chunks in ([1] * 15, [4, 1, 7, 3]):
-            cached = _cached_logits(model, enc, batch.enc_mask, dec, [0, 1], chunks)
+            cached = _cached_logits(model, groups, dec, [0, 1], chunks)
             assert np.abs(cached - full).max() < 1e-6
 
 
@@ -296,8 +304,7 @@ def test_cache_rows_select_sources():
     batch = tiny_batch()
     dec = np.array([[0, 5, 6], [0, 7, 8], [0, 9, 9]])
     with no_grad():
-        enc = model.encode(batch.enc_ids, batch.enc_mask)
-        cached = _cached_logits(model, enc, batch.enc_mask, dec, [1, 0, 1], [1, 1, 1])
+        cached = _cached_logits(model, _unpadded_groups(model, batch), dec, [1, 0, 1], [1, 1, 1])
         for row, src in enumerate([1, 0, 1]):
             mask = batch.enc_mask[src:src + 1]
             one = model.encode(batch.enc_ids[src:src + 1], mask)
@@ -312,12 +319,12 @@ def test_cache_reorder_matches_uncached_prefixes():
     parents = [1, 1, 0]  # row 1 duplicated, row 0 moved last
     nxt = np.array([[9], [10], [11]])
     with no_grad():
-        enc = model.encode(batch.enc_ids, batch.enc_mask)
+        groups = _unpadded_groups(model, batch)
         cache = DecoderCache([0, 1])
-        model.decode_logits(enc, batch.enc_mask, dec, cache=cache)
+        model.decode_logits(groups, None, dec, cache=cache)
         cache.reorder(parents)
         assert list(cache.rows) == [1, 1, 0]
-        step = model.decode_logits(enc, batch.enc_mask, nxt, cache=cache).data[:, -1]
+        step = model.decode_logits(groups, None, nxt, cache=cache).data[:, -1]
         src = np.asarray(parents)
         ref_enc = model.encode(batch.enc_ids[src], batch.enc_mask[src])
         ref = model.decode_logits(ref_enc, batch.enc_mask[src],
@@ -332,42 +339,50 @@ def test_cache_over_source_groups_matches_each_group_alone():
     model = _biased_model()
     rng = np.random.default_rng(5)
     groups = [rng.integers(2, 16, size=(n, length)) for n, length in ((2, 3), (1, 7), (2, 5))]
-    masks = [np.ones(g.shape, dtype=bool) for g in groups]
     rows = [4, 0, 2, 3, 1, 2]  # sources numbered across the groups: 0-1, 2, 3-4
     dec = rng.integers(2, 16, size=(len(rows), 3))
     parents = [5, 0, 0, 3]  # keep four rows, one duplicated
     with no_grad():
-        encs = [model.encode(g, m) for g, m in zip(groups, masks)]
+        encs = [model.encode(g, np.ones(g.shape, dtype=bool)) for g in groups]
         cache = DecoderCache(rows)
-        got = [model.decode_logits(encs, masks, dec[:, i:i + 1], cache=cache).data
+        got = [model.decode_logits(encs, None, dec[:, i:i + 1], cache=cache).data
                for i in range(2)]
         cache.reorder(parents)
-        got.append(model.decode_logits(encs, masks, dec[parents, 2:3], cache=cache).data)
+        got.append(model.decode_logits(encs, None, dec[parents, 2:3], cache=cache).data)
         for group in range(3):
             first = sum(len(g) for g in groups[:group])
             mine = [r for r, src in enumerate(rows) if first <= src < first + len(groups[group])]
             alone = DecoderCache([rows[r] - first for r in mine])
             for i in range(2):
-                want = model.decode_logits(encs[group], masks[group], dec[mine, i:i + 1],
+                want = model.decode_logits([encs[group]], None, dec[mine, i:i + 1],
                                            cache=alone).data
                 assert np.array_equal(got[i][mine], want)
             kept = [k for k, r in enumerate(parents) if r in mine]
             alone.reorder([mine.index(parents[k]) for k in kept])
-            want = model.decode_logits(encs[group], masks[group],
+            want = model.decode_logits([encs[group]], None,
                                        dec[[parents[k] for k in kept], 2:3], cache=alone).data
             assert np.array_equal(got[2][kept], want)
+
+
+def test_cached_decode_rejects_a_mask():
+    model = _biased_model()
+    batch = tiny_batch()
+    with no_grad():
+        enc = model.encode(batch.enc_ids, batch.enc_mask)
+        with pytest.raises(ValueError, match="enc_mask"):
+            model.decode_logits([enc], batch.enc_mask, np.zeros((2, 1), dtype=np.int64),
+                                cache=DecoderCache([0, 1]))
 
 
 def test_cache_beyond_max_seq_len_errors():
     model = _biased_model()  # max_seq_len 16
     batch = tiny_batch()
     with no_grad():
-        enc = model.encode(batch.enc_ids, batch.enc_mask)
+        groups = _unpadded_groups(model, batch)
         cache = DecoderCache([0, 1])
-        model.decode_logits(enc, batch.enc_mask, np.zeros((2, 16), dtype=np.int64), cache=cache)
+        model.decode_logits(groups, None, np.zeros((2, 16), dtype=np.int64), cache=cache)
         with pytest.raises(ValueError, match="max_seq_len"):
-            model.decode_logits(enc, batch.enc_mask, np.zeros((2, 1), dtype=np.int64),
-                                cache=cache)
+            model.decode_logits(groups, None, np.zeros((2, 1), dtype=np.int64), cache=cache)
 
 
 def test_model_save_load_identical_logits(tmp_path):

@@ -15,6 +15,7 @@ from octopus import (
     select_best_checkpoint,
     train,
 )
+from octopus.decoding import DecodeConfig, generate
 from octopus.tensor import Tensor
 from octopus.trainer import CheckpointMeta
 from octopus.tasks import synth_cipher, task_for_prefix, finalize_example, Example
@@ -139,6 +140,24 @@ def test_resume_into_same_dir_keeps_earlier_best(tmp_path):
     lines = (tmp_path / "run" / "checkpoints.jsonl").read_text().splitlines()
     assert [(m.step, m.score) for m in map(CheckpointMeta.from_json, lines)] == \
         [(m.step, m.score) for m in straight.metas]
+
+
+def test_resume_into_same_dir_logs_each_step_once(tmp_path):
+    examples, vocab, cfg, _ = _mini_setup()
+    data = Datasets(tasks=[TaskData("translitrate_ar2en", examples)])
+
+    def run(out_dir, resume_from=None):
+        tc = TrainConfig(strategy="single_task", batch_size=8, max_steps=10, seed=3,
+                         eval_every=5, out_dir=out_dir)
+        train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data, resume_from=resume_from)
+        return (out_dir / "loss_log.tsv").read_text().splitlines()
+
+    straight = run(tmp_path / "full")
+    run(tmp_path / "run")  # finished, then resumed from its step-5 checkpoint
+    lines = run(tmp_path / "run", resume_from=tmp_path / "run" / "step_000005")
+    assert [line.split("\t")[0] for line in lines] == [str(step) for step in range(10)]
+    assert [line.split("\t")[:2] for line in lines] == \
+        [line.split("\t")[:2] for line in straight]
 
 
 def test_joint_zero_labeled_equals_pretrain():
@@ -305,6 +324,23 @@ def test_evaluate_dev_equals_direct_metric_on_dumped_pairs():
     max_ref = max(len(vocab.encode(ex.target)) for ex in examples)
     hyp = [vocab.decode(o) for o in greedy_decode_batch(model, vocab, sources, max_ref + 8)]
     assert score == score_task("cer", hyp, [ex.target for ex in examples])
+
+
+@pytest.mark.parametrize("cfg", [DecodeConfig("beam", nbeam=3, max_outputs=2, seq_length=5),
+                                 DecodeConfig("sampling", max_outputs=2, top_k=4, seq_length=5,
+                                              seed=7)])
+def test_evaluate_dev_non_greedy_scores_top_generate_hypothesis(cfg):
+    # a non-greedy config keeps its own seq_length (5, below the greedy cap)
+    from octopus.metrics import score_task
+
+    examples, vocab, _, model = _mini_setup(n_examples=12)
+    model.set_train(False)
+    spec = task_for_prefix("translitrate_ar2en")
+    score = evaluate_dev(model, vocab, examples, spec, cfg)
+    tops = [generate(model, vocab, vocab.encode(ex.model_source), cfg)[0] for ex in examples]
+    assert all(len(h.ids) <= 5 for h in tops)
+    hyps = [vocab.decode(h.ids) for h in tops]
+    assert score == score_task("cer", hyps, [ex.target for ex in examples])
 
 
 def test_evaluate_dev_empty_errors():
