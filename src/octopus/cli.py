@@ -153,10 +153,9 @@ def _setup(args: CliArgs, stderr):
     return cfg, model, vocab
 
 
-def _generate_all(model, vocab, texts: list[str], prefix: str,
+def _generate_all(model, vocab, sources: list[list[int]],
                   cfg: DecodeConfig, batch_size: int) -> list[list[str]]:
-    """Hypothesis texts per input (all checked by run_batch), batch_size at a time."""
-    sources = [vocab.encode(f"{prefix}: {text}") for text in texts]
+    """Hypothesis texts per source (ids from `_encode`), batch_size at a time."""
     return [[vocab.decode(h.ids) for h in hyps]
             for hyps in generate_batch(model, vocab, sources, cfg, batch_size)]
 
@@ -179,13 +178,13 @@ def run_batch(args: CliArgs, stdout=None, stderr=None) -> int:
         except (OSError, UnicodeDecodeError) as e:
             print(f"error: cannot read input file: {e}", file=stderr)
             return 1
+    sources = []
     for n, text in lines:
         try:
-            _encode(model, vocab, args.prefix, text)
+            sources.append(_encode(model, vocab, args.prefix, text))
         except ValueError as e:
             print(f"error: line {n}: {e}", file=stderr)
             return 1
-    texts = [text for _, text in lines]
 
     log = None
     if args.logging_file:
@@ -198,7 +197,7 @@ def run_batch(args: CliArgs, stdout=None, stderr=None) -> int:
                   f"max_outputs={cfg.max_outputs}\tseq_length={cfg.seq_length}\n")
     try:
         t0 = time.perf_counter()
-        blocks = _generate_all(model, vocab, texts, args.prefix, cfg, args.batch_size)
+        blocks = _generate_all(model, vocab, sources, cfg, args.batch_size)
         for i, hyps in enumerate(blocks):
             if i:
                 stdout.write("\n")
@@ -206,7 +205,7 @@ def run_batch(args: CliArgs, stdout=None, stderr=None) -> int:
                 stdout.write(f"target{j}: {text}\n")
         if log is not None:
             ms = int((time.perf_counter() - t0) * 1000)
-            log.write(f"done\tinputs={len(texts)}\twallclock_ms={ms}\n")
+            log.write(f"done\tinputs={len(sources)}\twallclock_ms={ms}\n")
     finally:
         if log is not None:
             log.close()

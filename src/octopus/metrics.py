@@ -30,21 +30,26 @@ class MetricReport:
             raise ValueError(f"direction must be '{HIGHER}' or '{LOWER}'")
 
 
+def _levenshtein_rows(a, b):
+    """Rows of the unit-cost Levenshtein table: row i holds the distances
+    from a[:i] to every prefix of b."""
+    prev = list(range(len(b) + 1))
+    yield prev
+    for i, x in enumerate(a, start=1):
+        cur = [i]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] if x == y else 1 + min(prev[j - 1], prev[j], cur[j - 1]))
+        yield cur
+        prev = cur
+
+
 def edit_distance(a: str, b: str) -> int:
     """Unit-cost Levenshtein distance between character sequences."""
     if a == b:
         return 0
-    m = len(b)
-    prev = list(range(m + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i] + [0] * m
-        for j in range(1, m + 1):
-            if ca == b[j - 1]:
-                cur[j] = prev[j - 1]
-            else:
-                cur[j] = 1 + min(prev[j - 1], prev[j], cur[j - 1])
-        prev = cur
-    return prev[m]
+    for row in _levenshtein_rows(a, b):
+        pass
+    return row[-1]
 
 
 def cer(hypothesis: str, reference: str) -> float:
@@ -219,24 +224,11 @@ def extract_edits(source: str, hypothesis: str) -> list[Edit]:
     """
     src = source.split()
     hyp = hypothesis.split()
-    n, m = len(src), len(hyp)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dist[i][0] = i
-    for j in range(m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        row = dist[i]
-        prev = dist[i - 1]
-        for j in range(1, m + 1):
-            if src[i - 1] == hyp[j - 1]:
-                row[j] = prev[j - 1]
-            else:
-                row[j] = 1 + min(prev[j - 1], prev[j], row[j - 1])
+    dist = list(_levenshtein_rows(src, hyp))
 
     # backtrace from the end, preferring match > substitution > deletion > insertion
     ops: list[tuple[str, int, int]] = []  # (op, src index, hyp index)
-    i, j = n, m
+    i, j = len(src), len(hyp)
     while i > 0 or j > 0:
         if i > 0 and j > 0 and src[i - 1] == hyp[j - 1] and dist[i][j] == dist[i - 1][j - 1]:
             ops.append(("eq", i - 1, j - 1))

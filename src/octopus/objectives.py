@@ -170,13 +170,12 @@ class Seq2SeqBatch:
 
 
 def batch_from_ids(
-    pairs: list[tuple[list[int], list[int]]], vocab: Vocabulary, max_len: int,
-    targets_have_eos: bool = False,
+    pairs: list[tuple[list[int], list[int]]], vocab: Vocabulary, max_len: int
 ) -> Seq2SeqBatch:
     """Pad encoded (source ids, target ids) pairs into a Seq2SeqBatch.
 
-    Sources truncate to max_len; targets truncate to max_len - 1 and then
-    get eos appended (unless they already carry one).
+    Sources truncate to max_len. Targets drop a trailing eos, truncate to
+    max_len - 1 and get eos appended, so each ends in exactly one.
     """
     if not pairs:
         raise ValueError("cannot build a batch from no examples")
@@ -184,15 +183,11 @@ def batch_from_ids(
     for src, tgt in pairs:
         if not src:
             raise ValueError("empty source after encoding")
-        src = list(src)[:max_len]
-        if targets_have_eos:
-            tgt = list(tgt)[:max_len]
-            if tgt[-1] != vocab.eos_id:
-                tgt = tgt[: max_len - 1] + [vocab.eos_id]
-        else:
-            tgt = list(tgt)[: max_len - 1] + [vocab.eos_id]
-        srcs.append(src)
-        tgts.append(tgt)
+        tgt = list(tgt)
+        if tgt and tgt[-1] == vocab.eos_id:
+            tgt.pop()
+        srcs.append(list(src)[:max_len])
+        tgts.append(tgt[: max_len - 1] + [vocab.eos_id])
 
     b = len(pairs)
     pad = vocab.pad_id
@@ -219,4 +214,4 @@ def make_batch(
     if not pairs:
         raise ValueError("cannot build a batch from no examples")
     encoded = [(vocab.encode(s), vocab.encode(t)) for s, t in pairs]
-    return batch_from_ids(encoded, vocab, max_len, targets_have_eos=False)
+    return batch_from_ids(encoded, vocab, max_len)

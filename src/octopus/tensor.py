@@ -257,7 +257,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     m = x.max(axis=axis, keepdims=True)
-    if np.isneginf(m).any():
+    if (m == -np.inf).any():
         raise ValueError("softmax over a fully masked (all -inf) slice")
     e = np.exp(x - m)
     return e / e.sum(axis=axis, keepdims=True)

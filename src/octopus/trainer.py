@@ -1,5 +1,5 @@
-"""Training loops for the four regimes (pretrain, single task, multitask,
-joint) plus dev-set checkpoint selection.
+"""Training for the four regimes (pretrain, single task, multitask, joint)
+by two batch rules, plus dev-set checkpoint selection.
 
 Determinism contract: every random draw comes from a Generator seeded by
 (config seed, step, stream tag), so two runs with the same config are
@@ -14,7 +14,8 @@ import math
 import os
 import shutil
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,6 @@ class TrainConfig:
     labeled_fraction: float = 0.5  # joint only: share of labeled steps
     corruption_rate: float = 0.15
     mean_span_length: float = 3.0
-    max_seq_len: int | None = None  # None: model config value
     out_dir: str | Path | None = None
 
     def __post_init__(self):
@@ -77,11 +77,7 @@ class CheckpointMeta:
     path: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"step": self.step, "score": self.score, "metric": self.metric,
-             "direction": self.direction, "path": self.path},
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "CheckpointMeta":
@@ -117,15 +113,8 @@ def select_best_checkpoint(metas: list[CheckpointMeta]) -> int:
         raise ValueError("no checkpoints to select from")
     if len({(m.metric, m.direction) for m in metas}) != 1:
         raise ValueError("checkpoints mix metrics or directions")
-    best = 0
-    for i, m in enumerate(metas[1:], start=1):
-        if m.direction == "higher":
-            if m.score > metas[best].score:
-                best = i
-        else:
-            if m.score < metas[best].score:
-                best = i
-    return best
+    sign = 1.0 if metas[0].direction == "higher" else -1.0
+    return max(range(len(metas)), key=lambda i: sign * metas[i].score)
 
 
 class TaskMixer:
@@ -176,15 +165,11 @@ def evaluate_dev(model: Seq2SeqTransformer, vocab: Vocabulary, dev: list[Example
     sources = [vocab.encode(ex.model_source) for ex in dev]
     cfg = decode_cfg or DecodeConfig(method="greedy")
     if cfg.method == "greedy":
-        max_ref = max(len(vocab.encode(ex.target)) for ex in dev)
-        cfg = replace(cfg, seq_length=min(model.config.max_seq_len - 1, max_ref + 8))
+        cfg = replace(cfg, seq_length=max(len(vocab.encode(ex.target)) for ex in dev) + 8)
     hyps = [vocab.decode(h[0].ids) for h in generate_batch(model, vocab, sources, cfg, 64)]
-    refs = [ex.target for ex in dev]
-    if task.metric == "f05_m2":
-        golds = [EditSet(ex.gold_edits or []) for ex in dev]
-        return score_task("f05_m2", hyps, refs, sources=[ex.source for ex in dev],
-                          gold_edits=golds)
-    return score_task(task.metric, hyps, refs)
+    return score_task(task.metric, hyps, [ex.target for ex in dev],
+                      sources=[ex.source for ex in dev],
+                      gold_edits=[EditSet(ex.gold_edits or []) for ex in dev])
 
 
 # ---- batch builders ----
@@ -194,16 +179,7 @@ def _denoise_batch(texts: list[str], vocab: Vocabulary, rng: np.random.Generator
     idx = rng.integers(0, len(texts), size=cfg.batch_size)
     dn = DenoisingConfig(cfg.corruption_rate, cfg.mean_span_length, rng=rng)
     pairs = [corrupt_spans(vocab.encode(texts[i])[:max_len], vocab, dn) for i in idx]
-    return batch_from_ids(pairs, vocab, max_len, targets_have_eos=True)
-
-
-def _labeled_pairs(examples: list[Example]) -> list[tuple[str, str]]:
-    return [(ex.model_source, ex.target) for ex in examples]
-
-
-def _task_max_len(task_name: str, default: int) -> int:
-    override = task_for_prefix(task_name).max_len
-    return min(default, override) if override else default
+    return batch_from_ids(pairs, vocab, max_len)
 
 
 class _Trainer:
@@ -213,33 +189,28 @@ class _Trainer:
         self.vocab = vocab
         self.cfg = cfg
         self.data = data
-        self.max_len = cfg.max_seq_len or model.config.max_seq_len
+        self.max_len = model.config.max_seq_len
+        # share of labeled steps: pretrain and multitask are the joint mix at 0 and 1
+        self.labeled = {"pretrain": 0.0, "multitask": 1.0}.get(cfg.strategy, cfg.labeled_fraction)
         self._epoch_perm: tuple[int, np.ndarray] | None = None
         self._validate_data()
-        if cfg.strategy in ("multitask", "joint") and data.tasks:
-            self.mixer = TaskMixer(
-                {td.task: td.train for td in data.tasks},
-                weights=cfg.task_weights, batch_size=cfg.batch_size,
-            )
-        else:
-            self.mixer = None
+        self.mixer = None
+        if cfg.strategy != "single_task" and self.labeled > 0:
+            self.mixer = TaskMixer({td.task: td.train for td in data.tasks},
+                                   weights=cfg.task_weights, batch_size=cfg.batch_size)
 
     def _validate_data(self):
-        cfg, data = self.cfg, self.data
-        if cfg.strategy == "pretrain":
-            if not data.texts:
-                raise ValueError("pretraining needs unlabeled texts")
-        elif cfg.strategy == "single_task":
+        data = self.data
+        if self.cfg.strategy == "single_task":
             if len(data.tasks) != 1 or not data.tasks[0].train:
                 raise ValueError("single_task training needs exactly one labeled set")
-        elif cfg.strategy == "multitask":
-            if not data.tasks or any(not td.train for td in data.tasks):
-                raise ValueError("multitask training needs labeled sets")
-        else:  # joint
-            if not data.texts:
-                raise ValueError("joint training needs unlabeled texts")
-            if cfg.labeled_fraction > 0 and not data.tasks:
-                raise ValueError("joint training with labeled_fraction > 0 needs labeled sets")
+            return
+        if self.labeled < 1 and not data.texts:
+            raise ValueError(f"{self.cfg.strategy} training with unlabeled steps "
+                             "needs unlabeled texts")
+        if self.labeled > 0 and (not data.tasks or any(not td.train for td in data.tasks)):
+            raise ValueError(f"{self.cfg.strategy} training with labeled steps "
+                             "needs non-empty labeled sets")
 
     # step counts -----------------------------------------------------
 
@@ -252,27 +223,27 @@ class _Trainer:
             return self.cfg.max_steps
         return self.cfg.max_epochs * self.steps_per_epoch()
 
-    # per-strategy batches --------------------------------------------
+    # batches -----------------------------------------------------------
 
     def build_batch(self, step: int) -> Seq2SeqBatch:
+        """single_task walks epochs in order; every other strategy mixes
+        labeled and denoising steps. The branch draw uses its own stream, so
+        the data draws of a labeled share of 0 match pretraining, and of 1
+        multitask, bit for bit."""
+        if self.cfg.strategy == "single_task":
+            return self._single_task_batch(step)
         cfg = self.cfg
         rng = np.random.default_rng((cfg.seed, step, _DATA))
-        if cfg.strategy == "pretrain":
-            return _denoise_batch(self.data.texts, self.vocab, rng, cfg, self.max_len)
-        if cfg.strategy == "single_task":
-            return self._single_task_batch(step)
-        if cfg.strategy == "multitask":
-            name, examples = sample_task_batch(self.mixer, rng)
-            return make_batch(_labeled_pairs(examples), self.vocab,
-                              _task_max_len(name, self.max_len))
-        # joint: the branch draw uses its own stream so labeled_fraction=0
-        # replays the pretraining trajectory bit for bit
         branch = np.random.default_rng((cfg.seed, step, _BRANCH))
-        if cfg.labeled_fraction > 0 and branch.random() < cfg.labeled_fraction:
-            name, examples = sample_task_batch(self.mixer, rng)
-            return make_batch(_labeled_pairs(examples), self.vocab,
-                              _task_max_len(name, self.max_len))
+        if branch.random() < self.labeled:
+            return self._labeled_batch(*sample_task_batch(self.mixer, rng))
         return _denoise_batch(self.data.texts, self.vocab, rng, cfg, self.max_len)
+
+    def _labeled_batch(self, task: str, examples: list[Example]) -> Seq2SeqBatch:
+        """A batch of examples, cut to the task's own max_len where it sets a shorter one."""
+        cap = task_for_prefix(task).max_len
+        return make_batch([(ex.model_source, ex.target) for ex in examples], self.vocab,
+                          min(self.max_len, cap) if cap else self.max_len)
 
     def _single_task_batch(self, step: int) -> Seq2SeqBatch:
         td = self.data.tasks[0]
@@ -283,9 +254,7 @@ class _Trainer:
             self._epoch_perm = (epoch, rng.permutation(len(td.train)))
         perm = self._epoch_perm[1]
         idx = perm[pos * self.cfg.batch_size:(pos + 1) * self.cfg.batch_size]
-        examples = [td.train[i] for i in idx]
-        return make_batch(_labeled_pairs(examples), self.vocab,
-                          _task_max_len(td.task, self.max_len))
+        return self._labeled_batch(td.task, [td.train[i] for i in idx])
 
 
 def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
@@ -350,10 +319,8 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
     if metas:
         best = select_best_checkpoint(metas)
         if out_dir is not None:
-            best_dir = out_dir / "best"
-            if best_dir.exists():
-                shutil.rmtree(best_dir)
-            shutil.copytree(metas[best].path, best_dir)
+            _write_dir(out_dir / "best", partial(shutil.copytree, metas[best].path,
+                                                 dirs_exist_ok=True))
     return TrainResult(losses, metas, best, str(out_dir) if out_dir else None)
 
 
@@ -371,12 +338,15 @@ def _eval_and_checkpoint(runner: _Trainer, opt: AdamState, step: int,
 
     if out_dir is None:
         return CheckpointMeta(step, score, metric, direction, "")
+
+    def fill(ckpt_dir: Path):
+        model.save(ckpt_dir / "model.octo")
+        vocab.save(ckpt_dir / "vocab.txt")
+        (ckpt_dir / "config.json").write_text(model.config.to_json(), encoding="utf-8")
+        _save_train_state(ckpt_dir, opt, step)
+
     ckpt_dir = out_dir / f"step_{step:06d}"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    model.save(ckpt_dir / "model.octo")
-    vocab.save(ckpt_dir / "vocab.txt")
-    (ckpt_dir / "config.json").write_text(model.config.to_json(), encoding="utf-8")
-    _save_train_state(ckpt_dir, opt, step)
+    _write_dir(ckpt_dir, fill)
     meta = CheckpointMeta(step, score, metric, direction, str(ckpt_dir))
     with open(out_dir / "checkpoints.jsonl", "a", encoding="utf-8") as f:
         f.write(meta.to_json() + "\n")
@@ -410,6 +380,25 @@ def _replace_text(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _write_dir(path: Path, fill):
+    """Fill a directory under a temporary name, then swap it in by renames
+    and remove the copy it replaces last, so a crash leaves the old
+    directory or the new one, never a part of either."""
+    tmp, old = path.with_name(path.name + ".tmp"), path.with_name(path.name + ".old")
+    for stale in (tmp, old):  # left by an interrupted run
+        shutil.rmtree(stale, ignore_errors=True)
+    tmp.mkdir()
+    try:
+        fill(tmp)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if path.exists():
+        path.rename(old)
+    tmp.rename(path)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def train_over_seeds(make_model, vocab: Vocabulary, cfg: TrainConfig, data: Datasets,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from octopus import DenoisingConfig, corrupt_spans, make_batch, splice
-from octopus.objectives import OverCorruptionError
+from octopus.objectives import OverCorruptionError, batch_from_ids
 from octopus.vocab import build_vocab
 
 
@@ -146,6 +146,17 @@ def test_make_batch_truncates_to_max_len(vocab):
     assert batch.enc_ids.shape[1] == 4
     assert batch.target_ids.shape[1] == 4
     assert batch.target_ids[0, -1] == vocab.eos_id
+
+
+def test_batch_from_ids_ends_every_target_in_one_eos(vocab):
+    a, b, c, d, e = vocab.encode("abcde")
+    eos = vocab.eos_id
+    batch = batch_from_ids([([a], [b, c, eos]), ([a], [b, c]), ([a], [])], vocab, max_len=8)
+    assert batch.target_ids.tolist() == [[b, c, eos], [b, c, eos], [eos, 0, 0]]
+    # an over-long target, with or without its eos, is cut to max_len with eos last
+    for tgt in ([a, b, c, d, e], [a, b, c, d, e, eos]):
+        batch = batch_from_ids([([a], tgt)], vocab, max_len=4)
+        assert batch.target_ids.tolist() == [[a, b, c, eos]]
 
 
 def test_make_batch_rejects_empty(vocab):

@@ -18,7 +18,7 @@ from octopus import (
 from octopus.decoding import DecodeConfig, generate
 from octopus.tensor import Tensor
 from octopus.trainer import CheckpointMeta
-from octopus.tasks import synth_cipher, task_for_prefix, finalize_example, Example
+from octopus.tasks import synth_cipher, synth_devowel, task_for_prefix, finalize_example, Example
 from octopus.vocab import build_vocab
 
 
@@ -50,10 +50,34 @@ def test_config_rejects_bad_weights():
 
 def test_strategy_dataset_validation():
     examples, vocab, cfg, model = _mini_setup()
+    labeled = [TaskData("translitrate_ar2en", examples)]
     with pytest.raises(ValueError):
         train(model, vocab, TrainConfig(strategy="pretrain", max_steps=1), Datasets())
+    with pytest.raises(ValueError, match="unlabeled texts"):
+        train(model, vocab, TrainConfig(strategy="pretrain", max_steps=1),
+              Datasets(tasks=labeled))
     with pytest.raises(ValueError):
         train(model, vocab, TrainConfig(strategy="single_task", max_steps=1), Datasets(tasks=[]))
+    with pytest.raises(ValueError, match="non-empty labeled sets"):
+        train(model, vocab, TrainConfig(strategy="multitask", max_steps=1),
+              Datasets(tasks=labeled + [TaskData("diacritize", [])]))
+    with pytest.raises(ValueError, match="unlabeled texts"):
+        train(model, vocab, TrainConfig(strategy="joint", max_steps=1, labeled_fraction=0.5),
+              Datasets(tasks=labeled))
+
+
+def test_joint_needs_only_the_data_its_share_draws():
+    # all-labeled joint needs no texts; all-denoising joint ignores an empty pool
+    examples, vocab, cfg, model = _mini_setup()
+    texts = [ex.target for ex in examples]
+    result = train(model, vocab, TrainConfig(strategy="joint", batch_size=4, max_steps=2,
+                                             labeled_fraction=1.0),
+                   Datasets(tasks=[TaskData("translitrate_ar2en", examples)]))
+    assert len(result.losses) == 2
+    result = train(model, vocab, TrainConfig(strategy="joint", batch_size=4, max_steps=2,
+                                             labeled_fraction=0.0),
+                   Datasets(texts=texts, tasks=[TaskData("translitrate_ar2en", [])]))
+    assert len(result.losses) == 2
 
 
 def test_single_task_runs_and_logs(tmp_path):
@@ -172,6 +196,25 @@ def test_joint_zero_labeled_equals_pretrain():
                          labeled_fraction=0.0)
         result = train(model, vocab, tc, Datasets(texts=texts))
         runs.append(result.losses)
+    assert runs[0] == runs[1]
+
+
+def test_joint_all_labeled_equals_multitask():
+    cipher = synth_cipher(40, seed=4, direction="ar2en", min_len=3, max_len=6)
+    devowel = synth_devowel(40, seed=4)
+    corpus = [ex.model_source + " " + ex.target for ex in cipher + devowel]
+    vocab = build_vocab(corpus, max_size=200, sentinels=8)
+    cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=16, n_heads=2, d_ff=32,
+                      n_enc_layers=1, n_dec_layers=1, dropout_rate=0.1, max_seq_len=64)
+    data = Datasets(texts=[ex.target for ex in devowel],
+                    tasks=[TaskData("translitrate_ar2en", cipher, dev=cipher[:6]),
+                           TaskData("diacritize", devowel)])
+    runs = []
+    for strategy in ("multitask", "joint"):
+        tc = TrainConfig(strategy=strategy, batch_size=4, max_steps=6, eval_every=3, seed=9,
+                         labeled_fraction=1.0)
+        result = train(Seq2SeqTransformer(cfg, seed=2), vocab, tc, data)
+        runs.append((result.losses, [m.score for m in result.metas], result.best_index))
     assert runs[0] == runs[1]
 
 
@@ -362,3 +405,49 @@ def test_checkpoint_meta_written_with_dev_score(tmp_path):
     assert len(lines) == 2
     assert (tmp_path / "run" / "best").is_dir()
     assert result.best_index in (0, 1)
+
+
+def test_failed_checkpoint_write_leaves_no_partial_step_dir(tmp_path, monkeypatch):
+    from octopus import trainer
+
+    examples, vocab, cfg, _ = _mini_setup()
+    data = Datasets(tasks=[TaskData("translitrate_ar2en", examples)])
+    save_state = trainer._save_train_state
+
+    def fail_at_step_4(ckpt_dir, opt, step):
+        if step == 4:
+            raise OSError("disk full")
+        save_state(ckpt_dir, opt, step)
+
+    monkeypatch.setattr(trainer, "_save_train_state", fail_at_step_4)
+    tc = TrainConfig(strategy="single_task", batch_size=8, max_steps=4, seed=3,
+                     eval_every=2, out_dir=tmp_path)
+    with pytest.raises(OSError, match="disk full"):
+        train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data)
+    files = {"model.octo", "vocab.txt", "config.json", "train_state.octo", "train_state.json"}
+    assert [p.name for p in sorted(tmp_path.glob("step_*"))] == ["step_000002"]
+    assert {p.name for p in (tmp_path / "step_000002").iterdir()} == files
+
+    monkeypatch.setattr(trainer, "_save_train_state", save_state)
+    train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data,
+          resume_from=tmp_path / "step_000002")
+    assert {p.name for p in (tmp_path / "step_000004").iterdir()} == files
+
+
+def test_failed_best_copy_keeps_previous_best(tmp_path, monkeypatch):
+    import shutil
+
+    examples, vocab, cfg, _ = _mini_setup()
+    data = Datasets(tasks=[TaskData("translitrate_ar2en", examples)])
+    tc = TrainConfig(strategy="single_task", batch_size=8, max_steps=2, seed=3,
+                     out_dir=tmp_path)
+    train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data)
+    before = {p.name: p.read_bytes() for p in (tmp_path / "best").iterdir()}
+
+    def boom(*args, **kwargs):
+        raise OSError("copy failed")
+
+    monkeypatch.setattr(shutil, "copytree", boom)
+    with pytest.raises(OSError, match="copy failed"):
+        train(Seq2SeqTransformer(cfg, seed=5), vocab, tc, data)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "best").iterdir()} == before
