@@ -106,7 +106,6 @@ def load_toolkit(model_path: str) -> tuple[Seq2SeqTransformer, Vocabulary]:
                          f"but the model has {config.vocab_size}")
     model = Seq2SeqTransformer(config)
     model.load(root / "model.octo")
-    model.set_train(False)
     return model, vocab
 
 

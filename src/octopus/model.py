@@ -190,6 +190,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             name, start = entry["name"], entry["offset"]
             shape = tuple(entry["shape"])
             count = math.prod(shape)
+            if not isinstance(name, str):
+                raise TypeError("the tensor name is not a string")
         except (KeyError, TypeError) as e:
             raise ValueError(f"{path} has a malformed manifest entry {entry!r}") from e
         if (not isinstance(start, int) or start < 0
@@ -262,7 +264,8 @@ class Seq2SeqTransformer:
     """Trainable encoder-decoder over token-id matrices.
 
     Read-only during inference; training mutates parameters and needs
-    exclusive access. Dropout is active only after set_train(True).
+    exclusive access. A forward applies dropout only when it is given an
+    rng, and draws every mask from it.
     """
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor] | None = None,
@@ -270,14 +273,7 @@ class Seq2SeqTransformer:
         self.config = config
         self.dtype = dtype
         self.params = params if params is not None else init_params(config, seed, dtype)
-        self.training = False
-        self._rng = np.random.default_rng(0)
         self._buckets: dict[str, np.ndarray] = {}  # stack -> (max_seq_len, max_seq_len)
-
-    def set_train(self, training: bool, rng: np.random.Generator | None = None):
-        self.training = training
-        if rng is not None:
-            self._rng = rng
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -303,10 +299,10 @@ class Seq2SeqTransformer:
 
     # ---- forward pieces ----
 
-    def _dropout(self, x: Tensor) -> Tensor:
-        if not self.training or self.config.dropout_rate == 0.0:
+    def _dropout(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        if rng is None or self.config.dropout_rate == 0.0:
             return x
-        return T.dropout(x, self.config.dropout_rate, self._rng)
+        return T.dropout(x, self.config.dropout_rate, rng)
 
     def _check_ids(self, ids: np.ndarray, name: str):
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
@@ -341,10 +337,10 @@ class Seq2SeqTransformer:
 
     def _attention(self, x_q: Tensor, x_kv: Tensor, base: str,
                    mask_add: np.ndarray | None, bias: Tensor | None,
-                   cache: DecoderCache | None = None) -> Tensor:
-        """Multi-head attention of x_q over x_kv, dropout on the weights in
-        training mode; with a cache (self-attention only) the new keys and
-        values are appended to the cached ones."""
+                   rng: np.random.Generator | None, cache: DecoderCache | None = None) -> Tensor:
+        """Multi-head attention of x_q over x_kv, dropout on the weights
+        when given an rng; with a cache (self-attention only) the new keys
+        and values are appended to the cached ones."""
         q = self._heads(x_q, f"{base}.wq")
         k = self._heads(x_kv, f"{base}.wk")
         v = self._heads(x_kv, f"{base}.wv")
@@ -352,8 +348,8 @@ class Seq2SeqTransformer:
             k, v = (Tensor(a, dtype=a.dtype) for a in cache.append(base, k.data, v.data))
         # scaled dot-product keeps init-time logits near unit variance,
         # which matters for trainability at desk scale
-        rate = self.config.dropout_rate if self.training else 0.0
-        out = T.attention(q, k, v, 1.0 / math.sqrt(q.shape[-1]), bias, mask_add, rate, self._rng)
+        rate = self.config.dropout_rate if rng is not None else 0.0
+        out = T.attention(q, k, v, 1.0 / math.sqrt(q.shape[-1]), bias, mask_add, rate, rng)
         return self._merge_heads(out, base)
 
     def _merge_heads(self, out: Tensor, base: str) -> Tensor:
@@ -384,9 +380,9 @@ class Seq2SeqTransformer:
             out[sel] = np.matmul(e / e.sum(axis=-1, keepdims=True), v[loc])
         return self._merge_heads(Tensor(out, dtype=out.dtype), base)
 
-    def _ff(self, x: Tensor, base: str) -> Tensor:
+    def _ff(self, x: Tensor, base: str, rng: np.random.Generator | None) -> Tensor:
         inner = T.relu(T.matmul(x, self.params[f"{base}.wi"]))
-        inner = self._dropout(inner)
+        inner = self._dropout(inner, rng)
         return T.matmul(inner, self.params[f"{base}.wo"])
 
     @staticmethod
@@ -395,7 +391,7 @@ class Seq2SeqTransformer:
         neg = np.array(-np.inf, dtype=dtype)
         return np.where(attn_mask[:, None, None, :], dtype.type(0.0), neg)
 
-    def encode(self, ids, attn_mask) -> Tensor:
+    def encode(self, ids, attn_mask, rng: np.random.Generator | None = None) -> Tensor:
         """Contextual hidden states, shape (B, L, d_model).
 
         attn_mask marks real tokens; pad key positions are masked with
@@ -406,21 +402,22 @@ class Seq2SeqTransformer:
         self._check_ids(ids, "encoder ids")
         cfg = self.config
         x = T.take(self.params["shared.embedding"], ids)
-        x = self._dropout(x)
+        x = self._dropout(x, rng)
         mask_add = self._key_mask_add(mask, x.data.dtype)
         length = ids.shape[1]
         bias = self._relpos_bias("encoder", 0, length, length) if cfg.n_enc_layers else None
         for i in range(cfg.n_enc_layers):
             base = f"encoder.block{i}"
             h = T.rms_norm(x, self.params[f"{base}.attn.norm"])
-            x = T.add(x, self._dropout(self._attention(h, h, f"{base}.attn", mask_add, bias)))
+            x = T.add(x, self._dropout(
+                self._attention(h, h, f"{base}.attn", mask_add, bias, rng), rng))
             h = T.rms_norm(x, self.params[f"{base}.ff.norm"])
-            x = T.add(x, self._dropout(self._ff(h, f"{base}.ff")))
+            x = T.add(x, self._dropout(self._ff(h, f"{base}.ff", rng), rng))
         x = T.rms_norm(x, self.params["encoder.final_norm"])
-        return self._dropout(x)
+        return self._dropout(x, rng)
 
-    def decode_logits(self, enc_hidden, enc_mask, dec_ids,
-                      cache: DecoderCache | None = None) -> Tensor:
+    def decode_logits(self, enc_hidden, enc_mask, dec_ids, cache: DecoderCache | None = None,
+                      rng: np.random.Generator | None = None) -> Tensor:
         """Decoder logits, shape (B, T, vocab_size).
 
         Causal self-attention (position t attends <= t) plus cross
@@ -446,7 +443,7 @@ class Seq2SeqTransformer:
             raise ValueError(f"decoder length {end} exceeds max_seq_len {cfg.max_seq_len}")
         emb = self.params["shared.embedding"]
         x = T.take(emb, dec_ids)
-        x = self._dropout(x)
+        x = self._dropout(x, rng)
         dt = x.data.dtype
         # a single query row may see every key, so it needs no causal mask
         causal = (np.triu(np.full((1, 1, t_len, end), -np.inf, dtype=dt), k=1 + start)
@@ -458,25 +455,26 @@ class Seq2SeqTransformer:
             base = f"decoder.block{i}"
             h = T.rms_norm(x, self.params[f"{base}.attn.norm"])
             x = T.add(x, self._dropout(
-                self._attention(h, h, f"{base}.attn", causal, bias, cache)))
+                self._attention(h, h, f"{base}.attn", causal, bias, rng, cache), rng))
             h = T.rms_norm(x, self.params[f"{base}.cross.norm"])
-            cross = (self._attention(h, enc_hidden, f"{base}.cross", cross_mask, None)
+            cross = (self._attention(h, enc_hidden, f"{base}.cross", cross_mask, None, rng)
                      if cache is None else
                      self._cached_cross(h, enc_hidden, f"{base}.cross", cache))
-            x = T.add(x, self._dropout(cross))
+            x = T.add(x, self._dropout(cross, rng))
             h = T.rms_norm(x, self.params[f"{base}.ff.norm"])
-            x = T.add(x, self._dropout(self._ff(h, f"{base}.ff")))
+            x = T.add(x, self._dropout(self._ff(h, f"{base}.ff", rng), rng))
         if cache is not None:
             cache.length = end
         x = T.rms_norm(x, self.params["decoder.final_norm"])
-        x = self._dropout(x)
+        x = self._dropout(x, rng)
         x = T.mul(x, 1.0 / math.sqrt(cfg.d_model))
         return T.matmul(x, T.transpose(emb, (1, 0)))
 
-    def batch_loss(self, batch, pad_id: int = 0) -> Tensor:
-        """Mean token cross-entropy over non-pad target positions."""
-        enc = self.encode(batch.enc_ids, batch.enc_mask)
-        logits = self.decode_logits(enc, batch.enc_mask, batch.dec_ids)
+    def batch_loss(self, batch, pad_id: int = 0, rng: np.random.Generator | None = None) -> Tensor:
+        """Mean token cross-entropy over non-pad target positions; with an
+        rng, the forward applies dropout drawn from it."""
+        enc = self.encode(batch.enc_ids, batch.enc_mask, rng)
+        logits = self.decode_logits(enc, batch.enc_mask, batch.dec_ids, rng=rng)
         b, t, v = logits.shape
         flat = T.reshape(logits, (b * t, v))
         return T.cross_entropy(flat, batch.target_ids.reshape(-1), ignore_id=pad_id)

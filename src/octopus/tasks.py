@@ -138,7 +138,9 @@ def load_jsonl(path) -> list[Example]:
     """Parse a dataset file: one JSON object per line.
 
     Each object needs "task", "target", and either "source" or the aux
-    fields its template requires. Errors carry the line number.
+    fields its template requires. Text fields are strings, a null one is
+    absent, and "gold_edits" is a list of [start, end, [word, ...]] with
+    integer offsets. Errors carry the line number.
     """
     examples: list[Example] = []
     with open(path, encoding="utf-8") as f:
@@ -147,33 +149,41 @@ def load_jsonl(path) -> list[Example]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                examples.append(finalize_example(_example_from_json(json.loads(line))))
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{line_no}: malformed JSON ({e.msg})") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{line_no}: expected a JSON object")
-            if "task" not in obj:
-                raise ValueError(f"{path}:{line_no}: missing key 'task'")
-            if "target" not in obj:
-                raise ValueError(f"{path}:{line_no}: missing key 'target'")
-            edits = obj.get("gold_edits")
-            if edits is not None:
-                edits = [(int(s), int(e), tuple(r)) for s, e, r in edits]
-            ex = Example(
-                task=obj["task"],
-                target=obj["target"],
-                source=obj.get("source"),
-                question=obj.get("question"),
-                context=obj.get("context"),
-                answer=obj.get("answer"),
-                gold_edits=edits,
-            )
-            try:
-                finalize_example(ex)
             except ValueError as e:
                 raise ValueError(f"{path}:{line_no}: {e}") from None
-            examples.append(ex)
     return examples
+
+
+_TEXT_FIELDS = ("task", "target", "source", "question", "context", "answer")
+
+
+def _example_from_json(obj) -> Example:
+    """The Example one parsed JSONL line holds; ValueError names a field
+    that is missing or of the wrong type."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    for key in ("task", "target"):
+        if obj.get(key) is None:
+            raise ValueError(f"missing key {key!r}")
+    fields = {key: obj.get(key) for key in _TEXT_FIELDS}
+    for key, value in fields.items():
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{key!r} must be a string, not {type(value).__name__}")
+    edits = obj.get("gold_edits")
+    if edits is not None:
+        if not (isinstance(edits, list) and all(map(_is_edit, edits))):
+            raise ValueError("'gold_edits' must be a list of [start, end, [word, ...]] "
+                             "with integer start and end")
+        edits = [(s, e, tuple(r)) for s, e, r in edits]
+    return Example(**fields, gold_edits=edits)
+
+
+def _is_edit(e) -> bool:
+    return (isinstance(e, list) and len(e) == 3 and all(type(n) is int for n in e[:2])
+            and isinstance(e[2], list) and all(isinstance(w, str) for w in e[2]))
 
 
 def write_jsonl(path, examples: list[Example]):

@@ -241,7 +241,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; callers apply it only in training mode."""
+    """Inverted dropout with a keep mask drawn from rng."""
     if rate <= 0.0:
         return x
     x = _as_tensor(x)

@@ -192,7 +192,6 @@ class _Trainer:
         self.max_len = model.config.max_seq_len
         # share of labeled steps: pretrain and multitask are the joint mix at 0 and 1
         self.labeled = {"pretrain": 0.0, "multitask": 1.0}.get(cfg.strategy, cfg.labeled_fraction)
-        self._epoch_perm: tuple[int, np.ndarray] | None = None
         self._validate_data()
         self.mixer = None
         if cfg.strategy != "single_task" and self.labeled > 0:
@@ -246,14 +245,10 @@ class _Trainer:
                           min(self.max_len, cap) if cap else self.max_len)
 
     def _single_task_batch(self, step: int) -> Seq2SeqBatch:
-        td = self.data.tasks[0]
-        spe = self.steps_per_epoch()
-        epoch, pos = divmod(step, spe)
-        if self._epoch_perm is None or self._epoch_perm[0] != epoch:
-            rng = np.random.default_rng((self.cfg.seed, _EPOCH, epoch))
-            self._epoch_perm = (epoch, rng.permutation(len(td.train)))
-        perm = self._epoch_perm[1]
-        idx = perm[pos * self.cfg.batch_size:(pos + 1) * self.cfg.batch_size]
+        td, size = self.data.tasks[0], self.cfg.batch_size
+        epoch, pos = divmod(step, self.steps_per_epoch())
+        perm = np.random.default_rng((self.cfg.seed, _EPOCH, epoch)).permutation(len(td.train))
+        idx = perm[pos * size:(pos + 1) * size]
         return self._labeled_batch(td.task, [td.train[i] for i in idx])
 
 
@@ -287,9 +282,9 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
         for step in range(start_step, total):
             t0 = time.perf_counter()
             batch = runner.build_batch(step)
-            model.set_train(True, rng=np.random.default_rng((cfg.seed, step, _DROPOUT)))
             model.zero_grads()
-            loss = model.batch_loss(batch, pad_id=vocab.pad_id)
+            loss = model.batch_loss(batch, pad_id=vocab.pad_id,
+                                    rng=np.random.default_rng((cfg.seed, step, _DROPOUT)))
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):
                 raise RuntimeError(
@@ -299,7 +294,6 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
             loss.backward()
             grads = {k: p.grad for k, p in model.parameters().items() if p.grad is not None}
             adam_step(model.parameters(), grads, opt)
-            model.set_train(False)
             losses.append(loss_value)
             window.append(loss_value)
             if log_file is not None:
@@ -307,9 +301,7 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
                 log_file.write(f"{step}\t{loss_value:.6f}\t{ms}\n")
             done = step + 1
             if (cfg.eval_every and done % cfg.eval_every == 0) or done == total:
-                meta = _eval_and_checkpoint(runner, opt, done, window, out_dir)
-                if meta is not None:
-                    metas.append(meta)
+                metas.append(_eval_and_checkpoint(runner, opt, done, window, out_dir))
                 window = []
     finally:
         if log_file is not None:
@@ -325,8 +317,8 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
 
 
 def _eval_and_checkpoint(runner: _Trainer, opt: AdamState, step: int,
-                         window: list[float], out_dir: Path | None) -> CheckpointMeta | None:
-    model, vocab, cfg = runner.model, runner.vocab, runner.cfg
+                         window: list[float], out_dir: Path | None) -> CheckpointMeta:
+    model, vocab = runner.model, runner.vocab
     dev_td = next((td for td in runner.data.tasks if td.dev), None)
     if dev_td is not None:
         spec = task_for_prefix(dev_td.task)
@@ -442,11 +434,20 @@ def _save_train_state(ckpt_dir: Path, opt: AdamState, step: int):
 
 
 def _load_train_state(ckpt_dir: Path, model: Seq2SeqTransformer, opt: AdamState) -> int:
+    """Load the model and Adam state of a checkpoint; ValueError naming the
+    checkpoint and the entry when one is missing or mis-shaped."""
     model.load(ckpt_dir / "model.octo")
     meta = json.loads((ckpt_dir / "train_state.json").read_text(encoding="utf-8"))
+    for key in ("step", "adam_step"):
+        if not (isinstance(meta, dict) and type(meta.get(key)) is int and meta[key] >= 0):
+            raise ValueError(f"{ckpt_dir}: train_state.json needs a non-negative integer {key!r}")
     arrays = load_checkpoint(ckpt_dir / "train_state.octo")
-    for name in opt.m:
-        opt.m[name] = arrays[f"adam.m.{name}"].astype(model.dtype)
-        opt.v[name] = arrays[f"adam.v.{name}"].astype(model.dtype)
+    for moments, kind in ((opt.m, "m"), (opt.v, "v")):
+        for name in moments:
+            entry, shape = f"adam.{kind}.{name}", model.params[name].shape
+            if entry not in arrays or arrays[entry].shape != shape:
+                raise ValueError(f"{ckpt_dir}: train state entry {entry!r} is missing "
+                                 f"or not of shape {shape}")
+            moments[name] = arrays[entry].astype(model.dtype)
     opt.step = meta["adam_step"]
     return meta["step"]

@@ -177,7 +177,6 @@ def tiny_setup():
     cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=16, n_heads=2, d_ff=32,
                       n_enc_layers=1, n_dec_layers=1, dropout_rate=0.0, max_seq_len=24)
     model = Seq2SeqTransformer(cfg, seed=5)
-    model.set_train(False)
     return model, vocab
 
 

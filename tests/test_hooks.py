@@ -2,6 +2,8 @@
 class attributes for wrappers, and skips a name that is gone without a
 word. These tests fail instead when a refactor drops or bypasses one."""
 
+import inspect
+
 import pytest
 
 from octopus import cli, decoding, metrics, model, objectives, optim, tensor, trainer, vocab
@@ -25,6 +27,17 @@ HOOKS = [
                          ids=[f"{getattr(o, '__name__', o)}.{a}" for o, a in HOOKS])
 def test_benchmark_hook_exists(owner, attr):
     assert attr in vars(owner)
+
+
+def test_benchmark_call_shapes():
+    # the trace reads decode_logits' fourth positional argument as dec_ids, and
+    # the step clock wraps batch_loss(model_self, batch, *args, **kwargs)
+    def params(fn, n):
+        return list(inspect.signature(fn).parameters)[:n]
+
+    assert params(model.Seq2SeqTransformer.decode_logits, 4) == \
+        ["self", "enc_hidden", "enc_mask", "dec_ids"]
+    assert params(model.Seq2SeqTransformer.batch_loss, 2) == ["self", "batch"]
 
 
 def test_training_calls_its_hooks_through_module_globals(monkeypatch):

@@ -159,12 +159,9 @@ def test_dropout_only_in_training_mode():
     model = tiny_model(dtype=np.float32, dropout=0.5)
     ids = np.array([[3, 4, 5]])
     mask = np.ones_like(ids, dtype=bool)
-    model.set_train(True, rng=np.random.default_rng(0))
-    a = model.encode(ids, mask).data
-    model.set_train(True, rng=np.random.default_rng(1))
-    b = model.encode(ids, mask).data
+    a = model.encode(ids, mask, rng=np.random.default_rng(0)).data
+    b = model.encode(ids, mask, rng=np.random.default_rng(1)).data
     assert not np.array_equal(a, b)
-    model.set_train(False)
     c = model.encode(ids, mask).data
     d = model.encode(ids, mask).data
     assert np.array_equal(c, d)
@@ -180,7 +177,6 @@ TRAIN_STEP_PEAK_MB = 90
 def test_training_step_peak_memory():
     rng = np.random.default_rng(0)
     model = Seq2SeqTransformer(ModelConfig(vocab_size=132), seed=0)
-    model.set_train(True, rng=np.random.default_rng(1))
     dec = rng.integers(3, 132, (32, 56))
     mask = np.ones((32, 43), dtype=bool)
     mask[::2, 30:] = False
@@ -188,7 +184,7 @@ def test_training_step_peak_memory():
                          dec_ids=dec, target_ids=np.roll(dec, -1, axis=1))
     tracemalloc.start()
     try:
-        model.batch_loss(batch).backward()
+        model.batch_loss(batch, rng=np.random.default_rng(1)).backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,7 +243,8 @@ def test_checkpoint_manifest_outside_payload(tmp_path):
     data = np.zeros(4, dtype="<f4").tobytes()
     for entry in ({"name": "x", "shape": [2], "offset": 12},
                   {"name": "x", "shape": [-1], "offset": 0},
-                  {"name": "x", "shape": [2]}):
+                  {"name": "x", "shape": [2]},
+                  {"name": ["x"], "shape": [2], "offset": 0}):
         blob = json.dumps([entry]).encode()
         path = tmp_path / "bad.octo"
         path.write_bytes(b"OCTO1" + struct.pack("<I", len(blob)) + blob + data)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -222,3 +223,42 @@ def test_structured_text_deterministic():
 def test_finalize_rejects_empty_target():
     with pytest.raises(ValueError):
         finalize_example(Example(task="paraphrase", source="x", target=""))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"task": 5, "source": "x", "target": "y"}, "'task' must be a string"),
+    ({"task": "paraphrase", "source": ["a"], "target": "y"}, "'source' must be a string"),
+    ({"task": "paraphrase", "source": "x", "target": 5}, "'target' must be a string"),
+    ({"task": "answer_question", "question": 1, "context": "c", "target": "a"},
+     "'question' must be a string"),
+    ({"task": "generate_question", "answer": "a", "context": {}, "target": "q"},
+     "'context' must be a string"),
+    ({"task": "generate_question", "answer": True, "context": "c", "target": "q"},
+     "'answer' must be a string"),
+    ({"task": "correct_grammar", "source": "x", "target": "y", "gold_edits": 5}, "gold_edits"),
+    ({"task": "correct_grammar", "source": "x", "target": "y", "gold_edits": [[0, 1, 5]]},
+     "gold_edits"),
+    ({"task": "correct_grammar", "source": "x", "target": "y", "gold_edits": [[0, 1]]},
+     "gold_edits"),
+    ({"task": "correct_grammar", "source": "x", "target": "y", "gold_edits": [[0, 1.5, []]]},
+     "gold_edits"),
+    ({"task": "correct_grammar", "source": "x", "target": "y", "gold_edits": [[0, 1, [2]]]},
+     "gold_edits"),
+])
+def test_load_jsonl_checks_field_types(tmp_path, fields, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"task": "paraphrase", "source": "x", "target": "y"}\n'
+                    + json.dumps(fields) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".*" + re.escape(message)):
+        load_jsonl(path)
+
+
+def test_load_jsonl_null_fields_are_absent(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"task": "paraphrase", "source": "x", "target": "y", "question": null, '
+                    '"gold_edits": null}\n'
+                    '{"task": "correct_grammar", "source": "a b", "target": "a c", '
+                    '"gold_edits": [[1, 2, ["c"]]]}\n', encoding="utf-8")
+    first, second = load_jsonl(path)
+    assert first.question is None and first.gold_edits is None
+    assert second.gold_edits == [(1, 2, ("c",))]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -360,7 +361,6 @@ def test_evaluate_dev_equals_direct_metric_on_dumped_pairs():
     from octopus.metrics import score_task
 
     examples, vocab, cfg, model = _mini_setup(n_examples=12)
-    model.set_train(False)
     spec = task_for_prefix("translitrate_ar2en")
     score = evaluate_dev(model, vocab, examples, spec)
     sources = [vocab.encode(ex.model_source) for ex in examples]
@@ -377,7 +377,6 @@ def test_evaluate_dev_non_greedy_scores_top_generate_hypothesis(cfg):
     from octopus.metrics import score_task
 
     examples, vocab, _, model = _mini_setup(n_examples=12)
-    model.set_train(False)
     spec = task_for_prefix("translitrate_ar2en")
     score = evaluate_dev(model, vocab, examples, spec, cfg)
     tops = [generate(model, vocab, vocab.encode(ex.model_source), cfg)[0] for ex in examples]
@@ -451,3 +450,63 @@ def test_failed_best_copy_keeps_previous_best(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="copy failed"):
         train(Seq2SeqTransformer(cfg, seed=5), vocab, tc, data)
     assert {p.name: p.read_bytes() for p in (tmp_path / "best").iterdir()} == before
+
+
+def test_failed_step_leaves_no_dropout_behind(monkeypatch):
+    # a step that raises after the forward must not leave the model drawing dropout
+    from octopus import trainer
+
+    examples, vocab, _, _ = _mini_setup()
+    cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=16, n_heads=2, d_ff=32,
+                      n_enc_layers=1, n_dec_layers=1, dropout_rate=0.5, max_seq_len=64)
+    model = Seq2SeqTransformer(cfg, seed=1)
+
+    def fail(*args, **kwargs):
+        raise ValueError("non-finite gradient")
+
+    monkeypatch.setattr(trainer, "adam_step", fail)
+    tc = TrainConfig(strategy="single_task", batch_size=4, max_steps=2, seed=3)
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        train(model, vocab, tc, Datasets(tasks=[TaskData("translitrate_ar2en", examples)]))
+    ids = np.array([vocab.encode(examples[0].model_source)])
+    mask = np.ones_like(ids, dtype=bool)
+    assert np.array_equal(model.encode(ids, mask).data, model.encode(ids, mask).data)
+
+
+@pytest.mark.parametrize("corrupt, entry", [
+    ("drop_moment", "adam.m.shared.embedding"),
+    ("shape_moment", "adam.v.shared.embedding"),
+    ("drop_adam_step", "adam_step"),
+])
+def test_resume_checks_train_state(tmp_path, monkeypatch, corrupt, entry):
+    import json
+    import re
+
+    from octopus import trainer
+    from octopus.model import load_checkpoint, save_checkpoint
+
+    examples, vocab, cfg, _ = _mini_setup()
+    data = Datasets(tasks=[TaskData("translitrate_ar2en", examples)])
+    tc = TrainConfig(strategy="single_task", batch_size=8, max_steps=2, seed=3,
+                     out_dir=tmp_path / "run")
+    train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data)
+    ckpt = tmp_path / "run" / "step_000002"
+    if corrupt == "drop_adam_step":
+        meta = json.loads((ckpt / "train_state.json").read_text())
+        del meta[entry]
+        (ckpt / "train_state.json").write_text(json.dumps(meta))
+    else:
+        arrays = load_checkpoint(ckpt / "train_state.octo")
+        if corrupt == "drop_moment":
+            del arrays[entry]
+        else:
+            arrays[entry] = np.zeros(2, dtype=np.float32)
+        save_checkpoint(ckpt / "train_state.octo", arrays)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran on an unchecked train state")
+
+    monkeypatch.setattr(trainer, "adam_step", no_step)
+    tc = replace(tc, max_steps=4, out_dir=tmp_path / "resumed")
+    with pytest.raises(ValueError, match=re.escape(str(ckpt)) + ".*" + re.escape(repr(entry))):
+        train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data, resume_from=ckpt)
