@@ -56,8 +56,15 @@ class TrainConfig:
             raise ValueError("set exactly one of max_steps / max_epochs")
         if self.max_epochs is not None and self.strategy != "single_task":
             raise ValueError("epoch-based training is only for single_task finetuning")
-        if self.learning_rate <= 0 or self.batch_size < 1:
-            raise ValueError("learning_rate and batch_size must be positive")
+        if (self.max_steps if self.max_epochs is None else self.max_epochs) < 1:
+            raise ValueError("max_steps / max_epochs must be at least 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
+        if self.eval_every < 0 or self.seed < 0:
+            raise ValueError("eval_every and seed must be non-negative")
+        DenoisingConfig(self.corruption_rate, self.mean_span_length)  # raises on bad values
         if not 0.0 <= self.labeled_fraction <= 1.0:
             raise ValueError("labeled_fraction must be in [0, 1]")
         if self.task_weights is not None:
@@ -81,7 +88,11 @@ class CheckpointMeta:
 
     @classmethod
     def from_json(cls, line: str) -> "CheckpointMeta":
-        return cls(**json.loads(line))
+        meta = cls(**json.loads(line))
+        if not (type(meta.step) is int and isinstance(meta.score, (int, float))
+                and all(isinstance(v, str) for v in (meta.metric, meta.direction, meta.path))):
+            raise ValueError("a field has the wrong type")
+        return meta
 
 
 @dataclass
@@ -258,7 +269,8 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
 
     With out_dir set, writes a loss log (step<TAB>loss<TAB>wallclock_ms),
     per-checkpoint directories, a checkpoints.jsonl meta file, and a
-    final "best" copy chosen by select_best_checkpoint.
+    final "best" copy chosen by select_best_checkpoint. Both logs are first
+    cut back to the run's start step, 0 unless resumed.
     """
     runner = _Trainer(model, vocab, cfg, data)
     opt = AdamState.init(model.parameters(), cfg.learning_rate)
@@ -267,45 +279,38 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
         start_step = _load_train_state(Path(resume_from), model, opt)
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
-    log_file = None
     metas: list[CheckpointMeta] = []
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if resume_from is not None:
-            metas = _cut_back(out_dir, start_step)
-        log_file = open(out_dir / "loss_log.tsv", "a", encoding="utf-8")
+        metas = _cut_back(out_dir, start_step)
 
     total = runner.total_steps()
     losses: list[float] = []
     window: list[float] = []
-    try:
-        for step in range(start_step, total):
-            t0 = time.perf_counter()
-            batch = runner.build_batch(step)
-            model.zero_grads()
-            loss = model.batch_loss(batch, pad_id=vocab.pad_id,
-                                    rng=np.random.default_rng((cfg.seed, step, _DROPOUT)))
-            loss_value = float(loss.data)
-            if not math.isfinite(loss_value):
-                raise RuntimeError(
-                    f"non-finite loss {loss_value} at step {step}; aborting "
-                    f"(strategy={cfg.strategy}, lr={cfg.learning_rate})"
-                )
-            loss.backward()
-            grads = {k: p.grad for k, p in model.parameters().items() if p.grad is not None}
-            adam_step(model.parameters(), grads, opt)
-            losses.append(loss_value)
-            window.append(loss_value)
-            if log_file is not None:
-                ms = int((time.perf_counter() - t0) * 1000)
-                log_file.write(f"{step}\t{loss_value:.6f}\t{ms}\n")
-            done = step + 1
-            if (cfg.eval_every and done % cfg.eval_every == 0) or done == total:
-                metas.append(_eval_and_checkpoint(runner, opt, done, window, out_dir))
-                window = []
-    finally:
-        if log_file is not None:
-            log_file.close()
+    for step in range(start_step, total):
+        t0 = time.perf_counter()
+        batch = runner.build_batch(step)
+        model.zero_grads()
+        loss = model.batch_loss(batch, pad_id=vocab.pad_id,
+                                rng=np.random.default_rng((cfg.seed, step, _DROPOUT)))
+        loss_value = float(loss.data)
+        if not math.isfinite(loss_value):
+            raise RuntimeError(
+                f"non-finite loss {loss_value} at step {step}; aborting "
+                f"(strategy={cfg.strategy}, lr={cfg.learning_rate})"
+            )
+        loss.backward()
+        grads = {k: p.grad for k, p in model.parameters().items() if p.grad is not None}
+        adam_step(model.parameters(), grads, opt)
+        losses.append(loss_value)
+        window.append(loss_value)
+        if out_dir is not None:
+            ms = int((time.perf_counter() - t0) * 1000)
+            _append_line(out_dir / "loss_log.tsv", f"{step}\t{loss_value:.6f}\t{ms}")
+        done = step + 1
+        if (cfg.eval_every and done % cfg.eval_every == 0) or done == total:
+            metas.append(_eval_and_checkpoint(runner, opt, done, window, out_dir))
+            window = []
 
     best = None
     if metas:
@@ -340,30 +345,40 @@ def _eval_and_checkpoint(runner: _Trainer, opt: AdamState, step: int,
     ckpt_dir = out_dir / f"step_{step:06d}"
     _write_dir(ckpt_dir, fill)
     meta = CheckpointMeta(step, score, metric, direction, str(ckpt_dir))
-    with open(out_dir / "checkpoints.jsonl", "a", encoding="utf-8") as f:
-        f.write(meta.to_json() + "\n")
+    _append_line(out_dir / "checkpoints.jsonl", meta.to_json())
     return meta
 
 
 def _cut_back(out_dir: Path, step: int) -> list[CheckpointMeta]:
-    """Cut a run's logs back to `step`, since a resumed run writes the
-    later entries again: loss_log.tsv keeps the steps before it, and
-    checkpoints.jsonl the checkpoints at or before it, one per step, which
-    are returned."""
-    log = out_dir / "loss_log.tsv"
-    if log.exists():
-        lines = filter(None, log.read_text(encoding="utf-8").splitlines())
-        _replace_text(log, "".join(f"{line}\n" for line in lines
-                                   if int(line.split("\t", 1)[0]) < step))
-    path = out_dir / "checkpoints.jsonl"
-    if not path.exists():
-        return []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    by_step = {m.step: m for m in map(CheckpointMeta.from_json, filter(None, lines))
-               if m.step <= step}
-    metas = [by_step[k] for k in sorted(by_step)]
-    _replace_text(path, "".join(m.to_json() + "\n" for m in metas))
+    """Cut a run's logs back to `step`, where this run starts writing (0 for
+    a fresh run): loss_log.tsv keeps the steps before it, and
+    checkpoints.jsonl the checkpoints at or before it, which are returned."""
+    log, ckpts = out_dir / "loss_log.tsv", out_dir / "checkpoints.jsonl"
+    steps = _read_lines(log, lambda line: (int(line.split("\t", 1)[0]), line))
+    metas = [m for m in _read_lines(ckpts, CheckpointMeta.from_json) if m.step <= step]
+    _replace_text(log, "".join(f"{line}\n" for s, line in steps if s < step))
+    _replace_text(ckpts, "".join(f"{m.to_json()}\n" for m in metas))
     return metas
+
+
+def _read_lines(path: Path, parse) -> list:
+    """parse() of each line of path that ends in a newline: a line cut short
+    by a crash is dropped, and one that does not parse is a ValueError
+    naming the file and line."""
+    text = path.read_text(encoding="utf-8") if path.exists() else ""
+    out = []
+    for n, line in enumerate(text.split("\n")[:-1], start=1):
+        try:
+            out.append(parse(line))
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"{path}:{n}: malformed line ({e})") from None
+    return out
+
+
+def _append_line(path: Path, line: str):
+    """Append one whole line and close the file again, so no handle outlives a step."""
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(line + "\n")
 
 
 def _replace_text(path: Path, text: str):

@@ -8,6 +8,7 @@ during denoising and render as "<extra_id_i>".
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from typing import Iterable, Iterator
 
@@ -29,19 +30,11 @@ def _escape(token: str) -> str:
     )
 
 
+_UNESCAPES = {"\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
+
+
 def _unescape(line: str) -> str:
-    out = []
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if c == "\\" and i + 1 < len(line):
-            nxt = line[i + 1]
-            out.append({"\\": "\\", "n": "\n", "r": "\r", "t": "\t"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m[1], m[1]), line, flags=re.S)
 
 
 class Vocabulary:

@@ -1,5 +1,10 @@
 import math
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +45,22 @@ def test_config_requires_exactly_one_budget():
         TrainConfig(strategy="pretrain", max_steps=5, max_epochs=2)
     with pytest.raises(ValueError):
         TrainConfig(strategy="pretrain", max_epochs=2)  # epochs only for single_task
+
+
+@pytest.mark.parametrize("field", [
+    dict(max_steps=0),
+    dict(max_steps=None, max_epochs=0),
+    dict(eval_every=-2),
+    dict(seed=-1),
+    dict(learning_rate=math.nan),
+    dict(learning_rate=math.inf),
+    dict(corruption_rate=0.0),
+    dict(mean_span_length=0.5),
+], ids=["max_steps", "max_epochs", "eval_every", "seed", "lr_nan", "lr_inf",
+        "corruption_rate", "mean_span_length"])
+def test_config_rejects_bad_values(field):
+    with pytest.raises(ValueError):
+        TrainConfig(**{"strategy": "single_task", "max_steps": 5, **field})
 
 
 def test_config_rejects_bad_weights():
@@ -183,6 +204,125 @@ def test_resume_into_same_dir_logs_each_step_once(tmp_path):
     assert [line.split("\t")[0] for line in lines] == [str(step) for step in range(10)]
     assert [line.split("\t")[:2] for line in lines] == \
         [line.split("\t")[:2] for line in straight]
+
+
+def _logged_steps(out_dir):
+    return [int(line.split("\t")[0]) for line in
+            (out_dir / "loss_log.tsv").read_text().splitlines()]
+
+
+def test_fresh_run_into_used_dir_starts_over(tmp_path):
+    examples, vocab, cfg, _ = _mini_setup()
+    data = Datasets(tasks=[TaskData("translitrate_ar2en", examples)])
+    for seed in (0, 1):
+        tc = TrainConfig(strategy="single_task", batch_size=8, max_steps=4, seed=seed,
+                         eval_every=2, out_dir=tmp_path)
+        result = train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data)
+    assert _logged_steps(tmp_path) == [0, 1, 2, 3]
+    lines = (tmp_path / "checkpoints.jsonl").read_text().splitlines()
+    assert list(map(CheckpointMeta.from_json, lines)) == result.metas
+
+
+def _run_and_resume(tmp_path, max_steps=4, eval_every=2):
+    examples, vocab, cfg, _ = _mini_setup()
+    data = Datasets(tasks=[TaskData("translitrate_ar2en", examples)])
+    tc = TrainConfig(strategy="single_task", batch_size=8, max_steps=max_steps, seed=3,
+                     eval_every=eval_every, out_dir=tmp_path)
+    straight = train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data)
+
+    def resume(step):
+        return train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data,
+                     resume_from=tmp_path / f"step_{step:06d}")
+    return straight, resume
+
+
+def test_resume_drops_torn_checkpoint_line(tmp_path):
+    straight, resume = _run_and_resume(tmp_path)
+    path = tmp_path / "checkpoints.jsonl"
+    path.write_bytes(path.read_bytes()[:-10])  # a crash inside the step-4 append
+    resumed = resume(2)
+    assert [(m.step, m.score) for m in resumed.metas] == \
+        [(m.step, m.score) for m in straight.metas]
+    lines = path.read_text().splitlines()
+    assert [CheckpointMeta.from_json(line).step for line in lines] == [2, 4]
+
+
+def test_resume_drops_torn_log_line(tmp_path):
+    _, resume = _run_and_resume(tmp_path, max_steps=20, eval_every=10)
+    with open(tmp_path / "loss_log.tsv", "a") as f:
+        f.write("1")  # what a crash leaves while writing step 15's line
+    resume(10)
+    assert _logged_steps(tmp_path) == list(range(20))
+
+
+@pytest.mark.parametrize("name, line_no, bad", [
+    ("loss_log.tsv", 2, "x\t1.0\t3"),
+    ("checkpoints.jsonl", 1, '{"step": 2'),
+    ("checkpoints.jsonl", 1, '{"step": 2, "rank": 1}'),
+    ("checkpoints.jsonl", 1, "[2]"),
+    ("checkpoints.jsonl", 2, '{"step": "4", "score": 1.0, "metric": "train_loss", '
+                             '"direction": "lower", "path": "step_000004"}'),
+], ids=["log_step", "ckpt_json", "ckpt_keys", "ckpt_list", "ckpt_types"])
+def test_resume_names_malformed_log_line(tmp_path, name, line_no, bad):
+    import re
+
+    _, resume = _run_and_resume(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lines[line_no - 1] = bad
+    path.write_text("".join(f"{line}\n" for line in lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line_no}: ")):
+        resume(2)
+
+
+_KILLED_RUN = """
+import os, signal, sys
+from octopus import Datasets, ModelConfig, Seq2SeqTransformer, TaskData, TrainConfig, train
+from octopus import trainer
+from octopus.tasks import synth_cipher
+from octopus.vocab import build_vocab
+
+examples = synth_cipher(60, seed=0, direction="ar2en", min_len=3, max_len=6)
+vocab = build_vocab([ex.model_source + " " + ex.target for ex in examples],
+                    max_size=200, sentinels=16)
+cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=16, n_heads=2, d_ff=32,
+                  n_enc_layers=1, n_dec_layers=1, dropout_rate=0.1, max_seq_len=64)
+kill_at, real_adam_step = int(sys.argv[2]), trainer.adam_step
+calls = 0
+
+def adam_step(*args):
+    global calls
+    if calls == kill_at:
+        os.kill(os.getpid(), signal.SIGKILL)
+    calls += 1
+    return real_adam_step(*args)
+
+trainer.adam_step = adam_step
+tc = TrainConfig(strategy="single_task", batch_size=8, max_steps=8, seed=3, eval_every=2,
+                 out_dir=sys.argv[1])
+train(Seq2SeqTransformer(cfg, seed=1), vocab, tc,
+      Datasets(tasks=[TaskData("translitrate_ar2en", examples)]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_hard_kill_keeps_logged_steps(tmp_path):
+    import octopus
+
+    src = str(Path(octopus.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, "-c", _KILLED_RUN, str(tmp_path), "5"], env=env)
+    assert child.returncode == -signal.SIGKILL
+    assert _logged_steps(tmp_path) == [0, 1, 2, 3, 4]  # killed inside step 5
+
+    examples, vocab, cfg, _ = _mini_setup()
+    tc = TrainConfig(strategy="single_task", batch_size=8, max_steps=8, seed=3, eval_every=2,
+                     out_dir=tmp_path)
+    train(Seq2SeqTransformer(cfg, seed=1), vocab, tc,
+          Datasets(tasks=[TaskData("translitrate_ar2en", examples)]),
+          resume_from=tmp_path / "step_000002")
+    assert _logged_steps(tmp_path) == list(range(8))
 
 
 def test_joint_zero_labeled_equals_pretrain():

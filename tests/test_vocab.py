@@ -126,3 +126,10 @@ def test_serialization_round_trip(tmp_path):
     # bit-exact file round trip
     vocab.save(tmp_path / "again.txt")
     assert (tmp_path / "vocab.txt").read_bytes() == (tmp_path / "again.txt").read_bytes()
+
+
+def test_load_reads_hand_edited_escapes(tmp_path):
+    # a lone trailing backslash stays, and an unknown escape reads as its letter
+    path = tmp_path / "vocab.txt"
+    path.write_text("vocab_size=7\tsentinels=2\tunit=word\nab\\\n\\q\n", encoding="utf-8")
+    assert Vocabulary.load(path).content_tokens == ["ab\\", "q"]
