@@ -2,7 +2,9 @@
 one thin command per task prefix.
 
 Exit codes: 0 success, 1 input or I/O failure (unreadable input, an input
-longer than the model accepts, missing or corrupt model), 2 usage error.
+longer than the model accepts, missing or corrupt model), 2 usage error
+(any bad flag or flag value, reported by `parse_args` in argparse's format
+before any file or model is read).
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -21,24 +22,6 @@ from .vocab import Vocabulary
 
 DEFAULT_MODEL_PATH = "./checkpoints/best"
 INTERACTIVE_SEQ_LENGTH = 300  # interactive preset; batch default stays 2048
-
-
-@dataclass
-class CliArgs:
-    cache_dir: str | None
-    logging_file: str | None
-    prefix: str | None
-    text: str | None
-    input_file: str | None
-    max_outputs: int
-    batch_size: int
-    seq_length: int
-    search_method: str
-    nbeam: int
-    no_repeat_ngram_size: int
-    top_k: int
-    top_p: float
-    model_path: str
 
 
 def _build_parser(prog: str, mode: str) -> argparse.ArgumentParser:
@@ -79,21 +62,21 @@ def _build_parser(prog: str, mode: str) -> argparse.ArgumentParser:
     return p
 
 
-def parse_args(argv: list[str], mode: str = "batch", prog: str = "octopus") -> CliArgs:
-    """Validated CliArgs; argparse handles usage errors with exit code 2."""
+def parse_args(argv: list[str], mode: str = "batch", prog: str = "octopus") -> argparse.Namespace:
+    """Parsed flags plus `decode`, the DecodeConfig they ask for. Every usage
+    error, argparse's own or a bad value, exits 2 here, before any file is read."""
     parser = _build_parser(prog, mode)
     ns = parser.parse_args(argv)
-    for name in ("prefix", "text", "input_file"):  # not every mode defines these
-        setattr(ns, name, getattr(ns, name, None))
-    if ns.prefix is not None:
-        try:
+    try:
+        if getattr(ns, "prefix", None) is not None:
             ns.prefix = normalize_prefix(ns.prefix)
-        except ValueError as e:
-            parser.error(str(e))
-    if ns.batch_size < 1:
-        parser.error(f"argument -bs/--batch-size: must be >= 1, got {ns.batch_size}")
-    # every other field must come from the parser: a missing dest is a TypeError
-    return CliArgs(**vars(ns))
+        if ns.batch_size < 1:
+            raise ValueError(f"argument -bs/--batch-size: must be >= 1, got {ns.batch_size}")
+        ns.decode = DecodeConfig(ns.search_method, ns.nbeam, ns.max_outputs, ns.seq_length,
+                                 ns.no_repeat_ngram_size, ns.top_k, ns.top_p)
+    except ValueError as e:
+        parser.error(str(e))
+    return ns
 
 
 def load_toolkit(model_path: str) -> tuple[Seq2SeqTransformer, Vocabulary]:
@@ -109,20 +92,6 @@ def load_toolkit(model_path: str) -> tuple[Seq2SeqTransformer, Vocabulary]:
     return model, vocab
 
 
-def _decode_config(args: CliArgs) -> DecodeConfig:
-    cfg = DecodeConfig(
-        method=args.search_method,
-        nbeam=args.nbeam,
-        max_outputs=args.max_outputs,
-        seq_length=args.seq_length,
-        no_repeat_ngram_size=args.no_repeat_ngram_size,
-        top_k=args.top_k,
-        top_p=args.top_p,
-    )
-    cfg.validate()
-    return cfg
-
-
 def _encode(model, vocab, prefix: str, text: str, what: str = "input") -> list[int]:
     """Source ids of one input; ValueError if the model cannot take them."""
     ids, limit = vocab.encode(f"{prefix}: {text}"), model.config.max_seq_len
@@ -131,25 +100,20 @@ def _encode(model, vocab, prefix: str, text: str, what: str = "input") -> list[i
     return ids
 
 
-def _setup(args: CliArgs, stderr):
-    """(decoding config, model, vocabulary) of a command, or its exit code
-    once the failure is printed. Warns once when -s asks for more tokens
-    than the model can generate."""
-    try:
-        cfg = _decode_config(args)
-    except ValueError as e:
-        print(f"error: {e}", file=stderr)
-        return 2
+def _setup(args: argparse.Namespace, stderr):
+    """(model, vocabulary) of a command, or exit code 1 once the failure is
+    printed. Warns once when -s asks for more tokens than the model can
+    generate."""
     try:
         model, vocab = load_toolkit(args.model_path)
     except (OSError, ValueError) as e:
         print(f"error: cannot load model from {args.model_path}: {e}", file=stderr)
         return 1
     limit = model.config.max_seq_len - 1  # the decoder context holds the start token too
-    if cfg.seq_length > limit:
-        print(f"warning: -s {cfg.seq_length} exceeds this model's limit; "
+    if args.seq_length > limit:
+        print(f"warning: -s {args.seq_length} exceeds this model's limit; "
               f"outputs stop at {limit} tokens", file=stderr)
-    return cfg, model, vocab
+    return model, vocab
 
 
 def _generate_all(model, vocab, sources: list[list[int]],
@@ -159,7 +123,7 @@ def _generate_all(model, vocab, sources: list[list[int]],
             for hyps in generate_batch(model, vocab, sources, cfg, batch_size)]
 
 
-def run_batch(args: CliArgs, stdout=None, stderr=None) -> int:
+def run_batch(args: argparse.Namespace, stdout=None, stderr=None) -> int:
     """Decode --text or every line of --input-file and print hypotheses as
     "target{i}: <text>" blocks separated by blank lines."""
     stdout = stdout or sys.stdout
@@ -167,7 +131,8 @@ def run_batch(args: CliArgs, stdout=None, stderr=None) -> int:
     setup = _setup(args, stderr)
     if isinstance(setup, int):
         return setup
-    cfg, model, vocab = setup
+    model, vocab = setup
+    cfg = args.decode
     if args.text is not None:
         lines = [(1, args.text)]
     else:
@@ -211,7 +176,7 @@ def run_batch(args: CliArgs, stdout=None, stderr=None) -> int:
     return 0
 
 
-def repl_loop(args: CliArgs, stdin=None, stdout=None, stderr=None) -> int:
+def repl_loop(args: argparse.Namespace, stdin=None, stdout=None, stderr=None) -> int:
     """Interactive session: ask for task(s) once, then decode sources until
     "q". A comma-separated task list pipelines left to right, each stage
     consuming the previous stage's top hypothesis."""
@@ -221,7 +186,8 @@ def repl_loop(args: CliArgs, stdin=None, stdout=None, stderr=None) -> int:
     setup = _setup(args, stderr)
     if isinstance(setup, int):
         return setup
-    cfg, model, vocab = setup
+    model, vocab = setup
+    cfg = args.decode
 
     stdout.write("Octopus Interactive CLI\n")
     stdout.write(f"Loading model from {args.model_path}\n")

@@ -31,7 +31,8 @@ class DecodeConfig:
 
     seq_length bounds the number of generated tokens (eos included). The
     batch CLI defaults it to 2048 and the interactive preset to 300; the
-    library default stays at the desk scale.
+    library default stays at the desk scale. A bad value raises
+    ValueError at construction (and at `dataclasses.replace`).
     """
 
     method: str = "beam"
@@ -43,7 +44,7 @@ class DecodeConfig:
     top_p: float = 1.0
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.method not in ("greedy", "beam", "sampling"):
             raise ValueError(f"unknown decoding method {self.method!r}")
         if self.seq_length < 1:
@@ -258,7 +259,6 @@ def generate_batch(model, vocab, sources: list[list[int]], cfg: DecodeConfig,
     attends to its own length group only, so no source is padded and
     none depends on the others.
     """
-    cfg.validate()
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     # the decoder context holds the start token plus the generated prefix

@@ -470,11 +470,11 @@ class Seq2SeqTransformer:
         x = T.mul(x, 1.0 / math.sqrt(cfg.d_model))
         return T.matmul(x, T.transpose(emb, (1, 0)))
 
-    def batch_loss(self, batch, pad_id: int = 0, rng: np.random.Generator | None = None) -> Tensor:
-        """Mean token cross-entropy over non-pad target positions; with an
-        rng, the forward applies dropout drawn from it."""
+    def batch_loss(self, batch, rng: np.random.Generator | None = None) -> Tensor:
+        """Mean token cross-entropy over the target positions that are not
+        `batch.pad_id`; with an rng, the forward applies dropout drawn from it."""
         enc = self.encode(batch.enc_ids, batch.enc_mask, rng)
         logits = self.decode_logits(enc, batch.enc_mask, batch.dec_ids, rng=rng)
         b, t, v = logits.shape
         flat = T.reshape(logits, (b * t, v))
-        return T.cross_entropy(flat, batch.target_ids.reshape(-1), ignore_id=pad_id)
+        return T.cross_entropy(flat, batch.target_ids.reshape(-1), ignore_id=batch.pad_id)

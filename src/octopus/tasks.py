@@ -22,7 +22,6 @@ class TaskSpec:
     template: str      # "text" | "qa" | "qg"
     metric: str
     direction: str
-    max_len: int | None = None  # per-task sequence length override
 
 
 # The historical prefix spelling "translitrate" is kept verbatim for CLI
@@ -31,7 +30,7 @@ REGISTRY: dict[str, TaskSpec] = {
     spec.prefix: spec
     for spec in [
         TaskSpec("diacritization", "diacritize", "text", "cer", LOWER),
-        TaskSpec("grammatical_error_correction", "correct_grammar", "text", "f05_m2", HIGHER, max_len=256),
+        TaskSpec("grammatical_error_correction", "correct_grammar", "text", "f05_m2", HIGHER),
         TaskSpec("paraphrasing", "paraphrase", "text", "bleu", HIGHER),
         TaskSpec("question_answering", "answer_question", "qa", "token_f1", HIGHER),
         TaskSpec("question_generation", "generate_question", "qg", "bleu", HIGHER),

@@ -54,9 +54,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -73,26 +70,17 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def sum(self, axis=None):
         return tensor_sum(self, axis)
-
-    def mean(self, axis=None):
-        return tensor_mean(self, axis)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -142,17 +130,6 @@ def add(a, b) -> Tensor:
 
     def vjp(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _make(data, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    data = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
     return _make(data, (a, b), vjp)
 
@@ -365,12 +342,6 @@ def tensor_sum(x: Tensor, axis=None) -> Tensor:
         return (np.broadcast_to(gg, x.data.shape).astype(x.data.dtype),)
 
     return _make(np.asarray(data), (x,), vjp)
-
-
-def tensor_mean(x: Tensor, axis=None) -> Tensor:
-    x = _as_tensor(x)
-    count = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tensor_sum(x, axis), 1.0 / count)
 
 
 def cross_entropy(logits: Tensor, targets, ignore_id: int = -100) -> Tensor:

@@ -25,7 +25,7 @@ from .metrics import EditSet, score_task
 from .model import Seq2SeqTransformer, load_checkpoint, save_checkpoint
 from .objectives import DenoisingConfig, Seq2SeqBatch, batch_from_ids, corrupt_spans, make_batch
 from .optim import AdamState, adam_step
-from .tasks import Example, TaskSpec, task_for_prefix
+from .tasks import Example, TaskSpec, normalize_prefix, task_for_prefix
 from .vocab import Vocabulary
 
 STRATEGIES = ("pretrain", "single_task", "multitask", "joint")
@@ -173,7 +173,8 @@ def evaluate_dev(model: Seq2SeqTransformer, vocab: Vocabulary, dev: list[Example
     """
     if not dev:
         raise ValueError("dev set is empty")
-    sources = [vocab.encode(ex.model_source) for ex in dev]
+    # cut like training sources (`batch_from_ids`), so a long one cannot crash a checkpoint
+    sources = [vocab.encode(ex.model_source)[:model.config.max_seq_len] for ex in dev]
     cfg = decode_cfg or DecodeConfig(method="greedy")
     if cfg.method == "greedy":
         cfg = replace(cfg, seq_length=max(len(vocab.encode(ex.target)) for ex in dev) + 8)
@@ -211,13 +212,21 @@ class _Trainer:
 
     def _validate_data(self):
         data = self.data
+        names = [normalize_prefix(td.task) for td in data.tasks]  # raises on an unknown task
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"two labeled sets for task {name!r}; merge them into one")
         if self.cfg.strategy == "single_task":
             if len(data.tasks) != 1 or not data.tasks[0].train:
                 raise ValueError("single_task training needs exactly one labeled set")
             return
-        if self.labeled < 1 and not data.texts:
-            raise ValueError(f"{self.cfg.strategy} training with unlabeled steps "
-                             "needs unlabeled texts")
+        if self.labeled < 1:
+            if not data.texts:
+                raise ValueError(f"{self.cfg.strategy} training with unlabeled steps "
+                                 "needs unlabeled texts")
+            for i, text in enumerate(data.texts):
+                if not self.vocab.encode(text):
+                    raise ValueError(f"unlabeled text {i} encodes to no tokens")
         if self.labeled > 0 and (not data.tasks or any(not td.train for td in data.tasks)):
             raise ValueError(f"{self.cfg.strategy} training with labeled steps "
                              "needs non-empty labeled sets")
@@ -246,21 +255,19 @@ class _Trainer:
         rng = np.random.default_rng((cfg.seed, step, _DATA))
         branch = np.random.default_rng((cfg.seed, step, _BRANCH))
         if branch.random() < self.labeled:
-            return self._labeled_batch(*sample_task_batch(self.mixer, rng))
+            return self._labeled_batch(sample_task_batch(self.mixer, rng)[1])
         return _denoise_batch(self.data.texts, self.vocab, rng, cfg, self.max_len)
 
-    def _labeled_batch(self, task: str, examples: list[Example]) -> Seq2SeqBatch:
-        """A batch of examples, cut to the task's own max_len where it sets a shorter one."""
-        cap = task_for_prefix(task).max_len
+    def _labeled_batch(self, examples: list[Example]) -> Seq2SeqBatch:
         return make_batch([(ex.model_source, ex.target) for ex in examples], self.vocab,
-                          min(self.max_len, cap) if cap else self.max_len)
+                          self.max_len)
 
     def _single_task_batch(self, step: int) -> Seq2SeqBatch:
         td, size = self.data.tasks[0], self.cfg.batch_size
         epoch, pos = divmod(step, self.steps_per_epoch())
         perm = np.random.default_rng((self.cfg.seed, _EPOCH, epoch)).permutation(len(td.train))
         idx = perm[pos * size:(pos + 1) * size]
-        return self._labeled_batch(td.task, [td.train[i] for i in idx])
+        return self._labeled_batch([td.train[i] for i in idx])
 
 
 def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
@@ -291,8 +298,7 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
         t0 = time.perf_counter()
         batch = runner.build_batch(step)
         model.zero_grads()
-        loss = model.batch_loss(batch, pad_id=vocab.pad_id,
-                                rng=np.random.default_rng((cfg.seed, step, _DROPOUT)))
+        loss = model.batch_loss(batch, rng=np.random.default_rng((cfg.seed, step, _DROPOUT)))
         loss_value = float(loss.data)
         if not math.isfinite(loss_value):
             raise RuntimeError(

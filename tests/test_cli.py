@@ -100,6 +100,29 @@ def test_parse_args_batch_size_below_one_exits_2(mode, size, capsys):
     assert "--batch-size: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["batch", "task", "interactive"])
+@pytest.mark.parametrize("flags,message", [
+    (["-o", "9"], "nbeam must be >= max_outputs for beam search"),
+    (["-o", "0"], "max_outputs must be >= 1"),
+    (["--top-p", "0"], "top_p must be in (0, 1]"),
+    (["--top-p", "1.5"], "top_p must be in (0, 1]"),
+    (["-s", "0"], "seq_length must be >= 1"),
+    (["-k", "-1"], "top_k must be >= 0"),
+    (["-ng", "-1"], "no_repeat_ngram_size must be >= 0"),
+], ids=["o9", "o0", "top_p0", "top_p1.5", "s0", "k-1", "ng-1"])
+def test_parse_args_bad_decode_value_exits_2(mode, flags, message, tmp_path, capsys):
+    # the model path does not exist: the flag is rejected before anything is read
+    argv = {"batch": ["-p", "diacritize", "-t", "x"], "task": ["-t", "x"], "interactive": []}[mode]
+    with pytest.raises(SystemExit) as exc:
+        parse_args([*argv, *flags, "--model-path", str(tmp_path / "nope")],
+                   mode=mode, prog="prog")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: prog")
+    assert captured.err.endswith(f"prog: error: {message}\n")
+    assert captured.out == ""
+
+
 def test_parse_args_alias_canonicalized():
     args = parse_args(["-p", "transliterate_ar2en", "-t", "x"])
     assert args.prefix == "translitrate_ar2en"
@@ -310,15 +333,14 @@ def test_package_exports_resolve():
         octopus.no_such_name  # noqa: B018
 
 
-def test_repl_bad_decode_config_exits_2(tmp_path):
+def test_repl_bad_decode_config_exits_2(tmp_path, capsys):
     # -o 9 with the default beam of 5 is a usage error, caught before loading
-    args = parse_args(["-o", "9", "--model-path", str(tmp_path / "nope")],
-                      mode="interactive")
-    out, err = io.StringIO(), io.StringIO()
-    assert repl_loop(args, stdin=io.StringIO("diacritize\nab\nq\n"),
-                     stdout=out, stderr=err) == 2
-    assert err.getvalue().startswith("error: nbeam must be >= max_outputs")
-    assert out.getvalue() == ""
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["-o", "9", "--model-path", str(tmp_path / "nope")], mode="interactive")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: nbeam must be >= max_outputs" in captured.err
+    assert captured.out == ""
 
 
 def test_repl_scripted_session(checkpoint):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,23 @@ from helpers import brute_force_best, toy_step_fn
 
 
 def test_config_validation():
-    DecodeConfig(method="beam", nbeam=5, max_outputs=3).validate()
-    with pytest.raises(ValueError):
-        DecodeConfig(method="magic").validate()
-    with pytest.raises(ValueError):
-        DecodeConfig(method="beam", nbeam=2, max_outputs=3).validate()
-    with pytest.raises(ValueError):
-        DecodeConfig(top_p=0.0).validate()
-    with pytest.raises(ValueError):
-        DecodeConfig(seq_length=0).validate()
+    cfg = DecodeConfig(method="beam", nbeam=5, max_outputs=3)
+    with pytest.raises(ValueError, match="unknown decoding method"):
+        DecodeConfig(method="magic")
+    with pytest.raises(ValueError, match="nbeam must be >= max_outputs"):
+        DecodeConfig(method="beam", nbeam=2, max_outputs=3)
+    with pytest.raises(ValueError, match="top_p"):
+        DecodeConfig(top_p=0.0)
+    with pytest.raises(ValueError, match="seq_length"):
+        DecodeConfig(seq_length=0)
+    with pytest.raises(ValueError, match="nbeam must be >= max_outputs"):
+        replace(cfg, max_outputs=6)
+
+
+def test_sampling_config_rejects_top_p_zero():
+    # sampling_search does not re-check its config; with top_p 0 it would sample greedily
+    with pytest.raises(ValueError, match="top_p"):
+        DecodeConfig(method="sampling", top_p=0.0)
 
 
 def _two_step_table():

@@ -650,3 +650,55 @@ def test_resume_checks_train_state(tmp_path, monkeypatch, corrupt, entry):
     tc = replace(tc, max_steps=4, out_dir=tmp_path / "resumed")
     with pytest.raises(ValueError, match=re.escape(str(ckpt)) + ".*" + re.escape(repr(entry))):
         train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data, resume_from=ckpt)
+
+
+def test_long_dev_source_is_cut_like_training_sources(tmp_path):
+    # a dev source past max_seq_len must not crash the run's only checkpoint
+    examples, vocab, _, _ = _mini_setup()
+    cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=16, n_heads=2, d_ff=32,
+                      n_enc_layers=1, n_dec_layers=1, dropout_rate=0.1, max_seq_len=32)
+    dev = synth_cipher(1, seed=5, direction="ar2en", min_len=30, max_len=30)
+    assert len(vocab.encode(dev[0].model_source)) == 50
+    tc = TrainConfig(strategy="joint", batch_size=4, max_steps=6, seed=0,
+                     out_dir=tmp_path / "run")
+    data = Datasets(texts=[ex.target for ex in examples],
+                    tasks=[TaskData("translitrate_ar2en", examples, dev)])
+    result = train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data)
+    assert [m.step for m in result.metas] == [6]
+    assert math.isfinite(result.metas[0].score)
+    assert (tmp_path / "run" / "best" / "model.octo").exists()
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("a training step ran on data that should be rejected")
+
+
+@pytest.mark.parametrize("names, message", [
+    (["translitrate_ar2en", "translitrate_ar2en"], "two labeled sets for task 'translitrate_ar2en'"),
+    (["translitrate_ar2en", "transliterate-ar2en"], "two labeled sets for task 'translitrate_ar2en'"),
+    (["translitrate_ar2en", "translate"], "unknown task 'translate'"),
+], ids=["same", "alias", "unknown"])
+def test_labeled_sets_need_distinct_known_tasks(monkeypatch, names, message):
+    # the mixer keys pools by task, so a second set of one task would replace the first
+    from octopus import trainer
+
+    monkeypatch.setattr(trainer, "adam_step", _no_step)
+    examples, vocab, cfg, model = _mini_setup(n_examples=40)
+    data = Datasets(tasks=[TaskData(name, examples[20 * i:20 * (i + 1)])
+                           for i, name in enumerate(names)])
+    with pytest.raises(ValueError, match=message):
+        train(model, vocab, TrainConfig(strategy="multitask", batch_size=8, max_steps=30), data)
+
+
+@pytest.mark.parametrize("strategy", ["pretrain", "joint"])
+def test_unlabeled_text_without_tokens_is_named_before_step_0(monkeypatch, strategy):
+    # otherwise corrupt_spans raises at a random denoising step, naming no text
+    from octopus import trainer
+
+    monkeypatch.setattr(trainer, "adam_step", _no_step)
+    examples, vocab, cfg, model = _mini_setup()
+    texts = [ex.target for ex in examples]
+    texts[3] = ""
+    data = Datasets(texts=texts, tasks=[TaskData("translitrate_ar2en", examples)])
+    with pytest.raises(ValueError, match="unlabeled text 3 encodes to no tokens"):
+        train(model, vocab, TrainConfig(strategy=strategy, batch_size=4, max_steps=20), data)
