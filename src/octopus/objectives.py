@@ -16,14 +16,12 @@ class DenoisingConfig:
     """Span-corruption knobs.
 
     corruption_rate is the target masked fraction; mean_span_length sets
-    how many sentinels that fraction is split across. min_spans=0 lets a
-    short sequence pass through uncorrupted instead of forcing one span.
+    how many sentinels that fraction is split across, at least one.
     """
 
     corruption_rate: float = 0.15
     mean_span_length: float = 3.0
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-    min_spans: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.corruption_rate <= 1.0:
@@ -51,10 +49,8 @@ def corrupt_spans(
         raise ValueError("input tokens may not contain sentinel ids")
 
     n = len(tokens)
-    n_spans = max(cfg.min_spans, round(cfg.corruption_rate * n / cfg.mean_span_length))
-    if n_spans == 0:
-        return list(tokens), [vocab.eos_id]
-    n_spans = min(n_spans, vocab.num_sentinels)
+    n_spans = min(max(1, round(cfg.corruption_rate * n / cfg.mean_span_length)),
+                  vocab.num_sentinels)
     budget = max(n_spans, round(cfg.corruption_rate * n))
     # non-adjacent spans need a one-token gap between consecutive spans
     if budget > n - (n_spans - 1):

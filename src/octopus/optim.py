@@ -8,6 +8,8 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -21,9 +23,6 @@ class AdamState:
     v: dict[str, np.ndarray]
     step: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def init(cls, params: dict[str, Tensor], learning_rate: float) -> "AdamState":
@@ -46,20 +45,19 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
 
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, g in grads.items():
         p = params[name]
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data -= (state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)).astype(
+        p.data -= (state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)).astype(
             p.data.dtype
         )
     return state

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .metrics import HIGHER, LOWER, Edit
+from .metrics import HIGHER, LOWER, Edit, EditSet
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,9 @@ def registry_json() -> str:
 
 @dataclass
 class Example:
-    """One supervised example; `source` is the raw payload, aux fields feed
-    the QA/QG templates. `model_source` caches the prefixed model input and
-    stays out of equality so JSONL round-trips compare on content."""
+    """One supervised example, checked on construction; `source` is the raw
+    payload, aux fields feed the QA/QG templates. `model_source` is the
+    prefixed model input, out of equality so JSONL round-trips compare on content."""
 
     task: str
     target: str
@@ -91,7 +91,20 @@ class Example:
     context: str | None = None
     answer: str | None = None
     gold_edits: list[Edit] | None = None
-    model_source: str | None = field(default=None, compare=False, repr=False)
+    model_source: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        spec = task_for_prefix(self.task)
+        self.task = spec.prefix
+        self.model_source = format_input(spec, {"text": self.source, "question": self.question,
+                                                "context": self.context, "answer": self.answer})
+        if not self.target:
+            raise ValueError("example target must be non-empty")
+        if self.gold_edits is not None:
+            self.gold_edits = EditSet(self.gold_edits).edits
+            n_words = len((self.source or "").split())
+            if any(end > n_words for _, end, _ in self.gold_edits):
+                raise ValueError(f"a gold edit ends past the source's {n_words} words")
 
 
 def format_input(spec: TaskSpec, fields: dict) -> str:
@@ -117,22 +130,6 @@ def format_input(spec: TaskSpec, fields: dict) -> str:
     return f"{spec.prefix}: {payload}"
 
 
-def finalize_example(ex: Example) -> Example:
-    """Validate and attach the formatted model input."""
-    spec = task_for_prefix(ex.task)
-    ex.task = spec.prefix
-    fields = {
-        "text": ex.source,
-        "question": ex.question,
-        "context": ex.context,
-        "answer": ex.answer,
-    }
-    ex.model_source = format_input(spec, fields)
-    if not ex.target:
-        raise ValueError("example target must be non-empty")
-    return ex
-
-
 def load_jsonl(path) -> list[Example]:
     """Parse a dataset file: one JSON object per line.
 
@@ -148,7 +145,7 @@ def load_jsonl(path) -> list[Example]:
             if not line:
                 continue
             try:
-                examples.append(finalize_example(_example_from_json(json.loads(line))))
+                examples.append(_example_from_json(json.loads(line)))
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{line_no}: malformed JSON ({e.msg})") from None
             except ValueError as e:
@@ -176,7 +173,6 @@ def _example_from_json(obj) -> Example:
         if not (isinstance(edits, list) and all(map(_is_edit, edits))):
             raise ValueError("'gold_edits' must be a list of [start, end, [word, ...]] "
                              "with integer start and end")
-        edits = [(s, e, tuple(r)) for s, e, r in edits]
     return Example(**fields, gold_edits=edits)
 
 
@@ -233,11 +229,9 @@ def synth_cipher(n: int, seed: int = 0, direction: str = "both",
         plain = "".join(CIPHER_PLAIN[i] for i in rng.integers(0, len(CIPHER_PLAIN), length))
         coded = apply_cipher(plain)
         if direction in ("both", "ar2en"):
-            out.append(finalize_example(
-                Example(task="translitrate_ar2en", source=plain, target=coded)))
+            out.append(Example(task="translitrate_ar2en", source=plain, target=coded))
         if direction in ("both", "en2ar"):
-            out.append(finalize_example(
-                Example(task="translitrate_en2ar", source=coded, target=plain)))
+            out.append(Example(task="translitrate_en2ar", source=coded, target=plain))
     return out
 
 
@@ -286,8 +280,7 @@ def synth_devowel(n: int, seed: int = 0, lexicon: list[str] | None = None,
         k = int(rng.integers(min_words, max_words + 1))
         words = [lexicon[i] for i in rng.integers(0, len(lexicon), k)]
         target = " ".join(words)
-        out.append(finalize_example(
-            Example(task="diacritize", source=strip_vowels(target), target=target)))
+        out.append(Example(task="diacritize", source=strip_vowels(target), target=target))
     return out
 
 
@@ -338,12 +331,12 @@ def synth_gec(n: int, seed: int = 0, min_words: int = 5, max_words: int = 9) -> 
                 delta += 1
                 cursor = site + 1
         corrupted.extend(clean[cursor:])
-        out.append(finalize_example(Example(
+        out.append(Example(
             task="correct_grammar",
             source=" ".join(corrupted),
             target=" ".join(clean),
             gold_edits=gold,
-        )))
+        ))
     return out
 
 

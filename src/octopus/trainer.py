@@ -25,7 +25,7 @@ from .metrics import EditSet, score_task
 from .model import Seq2SeqTransformer, load_checkpoint, save_checkpoint
 from .objectives import DenoisingConfig, Seq2SeqBatch, batch_from_ids, corrupt_spans, make_batch
 from .optim import AdamState, adam_step
-from .tasks import Example, TaskSpec, normalize_prefix, task_for_prefix
+from .tasks import REGISTRY, Example, TaskSpec, normalize_prefix
 from .vocab import Vocabulary
 
 STRATEGIES = ("pretrain", "single_task", "multitask", "joint")
@@ -43,7 +43,7 @@ class TrainConfig:
     max_epochs: int | None = None
     eval_every: int = 0  # 0: checkpoint only at the end
     seed: int = 0
-    task_weights: dict[str, float] | None = None  # None: proportional to pool size
+    task_weights: dict[str, float] | None = None  # None: proportional to pool size; keys canonical
     labeled_fraction: float = 0.5  # joint only: share of labeled steps
     corruption_rate: float = 0.15
     mean_span_length: float = 3.0
@@ -68,9 +68,13 @@ class TrainConfig:
         if not 0.0 <= self.labeled_fraction <= 1.0:
             raise ValueError("labeled_fraction must be in [0, 1]")
         if self.task_weights is not None:
-            for name, w in self.task_weights.items():
+            weights = {normalize_prefix(name): w for name, w in self.task_weights.items()}
+            if len(weights) != len(self.task_weights):
+                raise ValueError(f"two mixing weights name one task: {sorted(self.task_weights)}")
+            for name, w in weights.items():
                 if not (w > 0 and math.isfinite(w)):
                     raise ValueError(f"mixing weight for {name!r} must be positive and finite")
+            self.task_weights = weights
 
 
 @dataclass
@@ -97,11 +101,20 @@ class CheckpointMeta:
 
 @dataclass
 class TaskData:
-    """A labeled pool (already finalized Examples) plus an optional dev set."""
+    """A labeled pool plus an optional dev set. `task` becomes its canonical
+    prefix on construction, and every example must be of that task."""
 
     task: str
     train: list[Example]
     dev: list[Example] | None = None
+
+    def __post_init__(self):
+        self.task = normalize_prefix(self.task)
+        for split, examples in (("train", self.train), ("dev", self.dev or [])):
+            for i, ex in enumerate(examples):
+                if ex.task != self.task:
+                    raise ValueError(f"{split} example {i} of the {self.task!r} set "
+                                     f"is of task {ex.task!r}")
 
 
 @dataclass
@@ -212,7 +225,7 @@ class _Trainer:
 
     def _validate_data(self):
         data = self.data
-        names = [normalize_prefix(td.task) for td in data.tasks]  # raises on an unknown task
+        names = [td.task for td in data.tasks]
         for name in names:
             if names.count(name) > 1:
                 raise ValueError(f"two labeled sets for task {name!r}; merge them into one")
@@ -332,7 +345,7 @@ def _eval_and_checkpoint(runner: _Trainer, opt: AdamState, step: int,
     model, vocab = runner.model, runner.vocab
     dev_td = next((td for td in runner.data.tasks if td.dev), None)
     if dev_td is not None:
-        spec = task_for_prefix(dev_td.task)
+        spec = REGISTRY[dev_td.task]
         score = evaluate_dev(model, vocab, dev_td.dev, spec)
         metric, direction = spec.metric, spec.direction
     else:
@@ -449,8 +462,7 @@ def _save_train_state(ckpt_dir: Path, opt: AdamState, step: int):
     for name, v in opt.v.items():
         arrays[f"adam.v.{name}"] = v
     save_checkpoint(ckpt_dir / "train_state.octo", arrays)
-    meta = {"step": step, "adam_step": opt.step, "learning_rate": opt.learning_rate,
-            "beta1": opt.beta1, "beta2": opt.beta2, "epsilon": opt.epsilon}
+    meta = {"step": step, "adam_step": opt.step, "learning_rate": opt.learning_rate}
     (ckpt_dir / "train_state.json").write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
 
 

@@ -38,14 +38,11 @@ def _unescape(line: str) -> str:
 
 
 class Vocabulary:
-    """Bijective token<->id map with reserved specials and sentinels."""
+    """Bijective character<->id map with reserved specials and sentinels."""
 
-    def __init__(self, content_tokens: list[str], sentinels: int = 100, unit: str = "char"):
-        if unit not in ("char", "word"):
-            raise ValueError(f"unknown tokenization unit {unit!r}")
+    def __init__(self, content_tokens: list[str], sentinels: int = 100):
         if len(set(content_tokens)) != len(content_tokens):
             raise ValueError("duplicate content tokens")
-        self.unit = unit
         self.num_sentinels = sentinels
         self._tokens = list(content_tokens)
         self._token_to_id = {
@@ -86,12 +83,9 @@ class Vocabulary:
             raise ValueError(f"id {token_id} is not a sentinel")
         return self.vocab_size - 1 - token_id
 
-    def _split(self, text: str) -> list[str]:
-        return list(text) if self.unit == "char" else text.split()
-
     def encode(self, text: str) -> list[int]:
-        """Token ids for `text`; unknown units map to unk. No eos appended."""
-        return [self._token_to_id.get(tok, UNK_ID) for tok in self._split(text)]
+        """Token ids for `text`, one per character; unknown ones map to unk. No eos."""
+        return [self._token_to_id.get(tok, UNK_ID) for tok in text]
 
     def decode(self, ids: Iterable[int]) -> str:
         """Inverse of encode; pad/eos dropped, sentinels render as <extra_id_i>."""
@@ -108,15 +102,12 @@ class Vocabulary:
                 pieces.append(self._tokens[i - _NUM_RESERVED])
             else:
                 raise ValueError(f"id {i} out of range for vocab of size {self.vocab_size}")
-        sep = "" if self.unit == "char" else " "
-        return sep.join(pieces)
+        return "".join(pieces)
 
     def save(self, path):
         """One content token per line; header records size, sentinels, unit."""
         with open(path, "w", encoding="utf-8") as f:
-            f.write(
-                f"vocab_size={self.vocab_size}\tsentinels={self.num_sentinels}\tunit={self.unit}\n"
-            )
+            f.write(f"vocab_size={self.vocab_size}\tsentinels={self.num_sentinels}\tunit=char\n")
             for tok in self._tokens:
                 f.write(_escape(tok) + "\n")
 
@@ -129,7 +120,9 @@ class Vocabulary:
         for key in ("sentinels", "unit", "vocab_size"):
             if key not in fields:
                 raise ValueError(f"corrupt vocabulary file {path}: header has no {key!r} field")
-        vocab = cls(tokens, sentinels=int(fields["sentinels"]), unit=fields["unit"])
+        if fields["unit"] != "char":
+            raise ValueError(f"vocabulary file {path}: unsupported unit {fields['unit']!r}")
+        vocab = cls(tokens, sentinels=int(fields["sentinels"]))
         if vocab.vocab_size != int(fields["vocab_size"]):
             raise ValueError(f"corrupt vocabulary file {path}: size mismatch")
         return vocab
@@ -139,9 +132,8 @@ def build_vocab(
     corpus: Iterable[str] | Iterator[str],
     max_size: int = 4096,
     sentinels: int = 100,
-    unit: str = "char",
 ) -> Vocabulary:
-    """Build a vocabulary from the most frequent units in `corpus`.
+    """Build a vocabulary from the most frequent characters in `corpus`.
 
     Ties break lexicographically. max_size caps the total id space
     including specials and the sentinel block.
@@ -154,13 +146,10 @@ def build_vocab(
     n_texts = 0
     for text in corpus:
         n_texts += 1
-        if unit == "char":
-            counts.update(text)
-        else:
-            counts.update(text.split())
+        counts.update(text)
     if n_texts == 0 or not counts:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     budget = max_size - _NUM_RESERVED - sentinels
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     content = [tok for tok, _ in ordered[:budget]]
-    return Vocabulary(content, sentinels=sentinels, unit=unit)
+    return Vocabulary(content, sentinels=sentinels)

@@ -261,6 +261,20 @@ def test_run_batch_vocab_header_missing_field_exits_1(checkpoint, tmp_path):
     assert "cannot load model" in err.getvalue() and "'unit'" in err.getvalue()
 
 
+def test_run_batch_word_unit_vocab_exits_1(checkpoint, tmp_path):
+    import shutil
+
+    root = tmp_path / "best"
+    shutil.copytree(checkpoint, root)
+    vocab = root / "vocab.txt"
+    vocab.write_text(vocab.read_text(encoding="utf-8").replace("unit=char", "unit=word", 1),
+                     encoding="utf-8")
+    args = parse_args(["-p", "diacritize", "-t", "x", "--model-path", str(root)])
+    err = io.StringIO()
+    assert run_batch(args, stdout=io.StringIO(), stderr=err) == 1
+    assert "cannot load model" in err.getvalue() and "'word'" in err.getvalue()
+
+
 def test_repl_overlong_line_reports_and_reprompts(checkpoint):
     args = parse_args(["--model-path", str(checkpoint), "-s", "6"], mode="interactive")
     stdin = io.StringIO("diacritize\n" + "a" * 200 + "\nab\nq\n")

@@ -16,15 +16,6 @@ def _tokens(vocab, n, rng):
     return [int(t) for t in rng.integers(lo, hi, size=n)]
 
 
-def test_no_corruption_flag(vocab):
-    cfg = DenoisingConfig(corruption_rate=0.01, mean_span_length=3.0,
-                          rng=np.random.default_rng(0), min_spans=0)
-    tokens = _tokens(vocab, 10, np.random.default_rng(1))
-    inp, tgt = corrupt_spans(tokens, vocab, cfg)
-    assert inp == tokens
-    assert tgt == [vocab.eos_id]
-
-
 def test_pinned_seed_regression(vocab):
     # frozen from the first run with this seed; one 3-token span at r=0.3
     cfg = DenoisingConfig(corruption_rate=0.3, mean_span_length=3.0,

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from octopus.tasks import (
     Example,
     apply_cipher,
     canonical_tasks,
-    finalize_example,
     format_input,
     invert_cipher,
     load_jsonl,
@@ -221,8 +221,27 @@ def test_structured_text_deterministic():
 
 
 def test_finalize_rejects_empty_target():
-    with pytest.raises(ValueError):
-        finalize_example(Example(task="paraphrase", source="x", target=""))
+    with pytest.raises(ValueError, match="target must be non-empty"):
+        Example(task="paraphrase", source="x", target="")
+
+
+def test_example_is_finalized_on_construction():
+    ex = Example(task="transliterate-ar2en", source="ab", target="αβ")
+    assert ex.task == "translitrate_ar2en"
+    assert ex.model_source == "translitrate_ar2en: ab"
+    assert replace(ex, source="cd").model_source == "translitrate_ar2en: cd"
+    gec = Example(task="correct_grammar", source="a b c", target="x b",
+                  gold_edits=[[2, 3, []], [0, 1, ["x"]]])
+    assert gec.gold_edits == [(0, 1, ("x",)), (2, 3, ())]
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(task="translate", source="x", target="y"), "unknown task 'translate'"),
+    (dict(task="answer_question", question="q", target="a"), "requires field 'context'"),
+], ids=["unknown_task", "missing_qa_field"])
+def test_bad_example_raises_on_construction(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Example(**fields)
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -244,6 +263,12 @@ def test_finalize_rejects_empty_target():
      "gold_edits"),
     ({"task": "correct_grammar", "source": "x", "target": "y", "gold_edits": [[0, 1, [2]]]},
      "gold_edits"),
+    ({"task": "correct_grammar", "source": "a b c", "target": "y", "gold_edits": [[2, 1, ["x"]]]},
+     "end < start"),
+    ({"task": "correct_grammar", "source": "a b c", "target": "y",
+      "gold_edits": [[0, 2, []], [1, 3, ["x"]]]}, "overlap"),
+    ({"task": "correct_grammar", "source": "a b c", "target": "y", "gold_edits": [[3, 4, []]]},
+     "past the source's 3 words"),
 ])
 def test_load_jsonl_checks_field_types(tmp_path, fields, message):
     path = tmp_path / "bad.jsonl"

@@ -24,7 +24,7 @@ from octopus import (
 from octopus.decoding import DecodeConfig, generate
 from octopus.tensor import Tensor
 from octopus.trainer import CheckpointMeta
-from octopus.tasks import synth_cipher, synth_devowel, task_for_prefix, finalize_example, Example
+from octopus.tasks import synth_cipher, synth_devowel, task_for_prefix, Example
 from octopus.vocab import build_vocab
 
 
@@ -64,10 +64,60 @@ def test_config_rejects_bad_values(field):
 
 
 def test_config_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        TrainConfig(strategy="multitask", max_steps=1, task_weights={"a": 0.0})
-    with pytest.raises(ValueError):
-        TrainConfig(strategy="multitask", max_steps=1, task_weights={"a": math.inf})
+    # keys name real tasks, so each case reaches the weight check
+    with pytest.raises(ValueError, match="positive and finite"):
+        TrainConfig(strategy="multitask", max_steps=1, task_weights={"paraphrase": 0.0})
+    with pytest.raises(ValueError, match="positive and finite"):
+        TrainConfig(strategy="multitask", max_steps=1, task_weights={"paraphrase": math.inf})
+
+
+@pytest.mark.parametrize("weights, message", [
+    ({"translate": 1.0}, "unknown task 'translate'"),
+    ({"translitrate_ar2en": 1.0, "transliterate-ar2en": 2.0}, "two mixing weights name one task"),
+], ids=["unknown", "alias_twice"])
+def test_config_weight_keys_are_canonical_tasks(weights, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(strategy="multitask", max_steps=1, task_weights=weights)
+
+
+@pytest.mark.parametrize("set_name, weight_key", [
+    ("transliterate-ar2en", "translitrate_ar2en"),
+    ("translitrate_ar2en", "transliterate_ar2en"),
+], ids=["alias_set", "alias_weights"])
+def test_alias_spelled_sets_and_weights_train(set_name, weight_key):
+    examples, vocab, cfg, _ = _mini_setup()
+
+    def run(name, key):
+        data = Datasets(tasks=[TaskData(name, examples)])
+        tc = TrainConfig(strategy="multitask", batch_size=4, max_steps=3, seed=2,
+                         task_weights={key: 1.0})
+        return train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data).losses
+
+    assert run(set_name, weight_key) == run("translitrate_ar2en", "translitrate_ar2en")
+
+
+def test_example_built_directly_trains():
+    examples, vocab, cfg, model = _mini_setup()
+    ex = Example(task="translitrate_ar2en", source="ab", target="αβ")
+    assert ex.model_source == "translitrate_ar2en: ab"
+    tc = TrainConfig(strategy="single_task", batch_size=2, max_steps=2, seed=0)
+    result = train(model, vocab, tc, Datasets(tasks=[TaskData("translitrate_ar2en", [ex])]))
+    assert len(result.losses) == 2 and all(map(math.isfinite, result.losses))
+
+
+@pytest.mark.parametrize("train_tasks, dev_tasks, message", [
+    (["translitrate_ar2en", "diacritize"], None,
+     "train example 1 of the 'translitrate_ar2en' set is of task 'diacritize'"),
+    (["translitrate_ar2en"], ["translitrate_ar2en", "translitrate_en2ar"],
+     "dev example 1 of the 'translitrate_ar2en' set is of task 'translitrate_en2ar'"),
+], ids=["train", "dev"])
+def test_task_data_holds_only_its_own_task(train_tasks, dev_tasks, message):
+    def examples(tasks):
+        return [Example(task=t, source="ab", target="cd") for t in tasks]
+
+    with pytest.raises(ValueError, match=message):
+        TaskData("transliterate_ar2en", examples(train_tasks),
+                 dev=examples(dev_tasks) if dev_tasks else None)
 
 
 def test_strategy_dataset_validation():
@@ -161,6 +211,25 @@ def test_resume_matches_uninterrupted(tmp_path):
 
     for name, p in straight.parameters().items():
         assert np.array_equal(p.data, resumed.parameters()[name].data), name
+
+
+def test_resume_reads_train_state_with_adam_constants(tmp_path):
+    # Adam's betas and epsilon are constants: a train_state.json no longer
+    # records them, and one written when it did still resumes exactly
+    import json
+
+    examples, vocab, cfg, _ = _mini_setup()
+    data = Datasets(tasks=[TaskData("translitrate_ar2en", examples)])
+    tc = TrainConfig(strategy="single_task", batch_size=8, max_steps=4, seed=3,
+                     eval_every=2, out_dir=tmp_path / "run")
+    full = train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data)
+    state = tmp_path / "run" / "step_000002" / "train_state.json"
+    meta = json.loads(state.read_text())
+    assert sorted(meta) == ["adam_step", "learning_rate", "step"]
+    state.write_text(json.dumps({**meta, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}))
+    resumed = train(Seq2SeqTransformer(cfg, seed=999), vocab, replace(tc, out_dir=tmp_path / "b"),
+                    data, resume_from=state.parent)
+    assert resumed.losses == full.losses[2:]
 
 
 def test_resume_into_same_dir_keeps_earlier_best(tmp_path):
@@ -386,7 +455,7 @@ def test_random_token_pretraining_stays_near_uniform_entropy():
 
 
 def test_mixer_singleton_always_sampled():
-    ex = finalize_example(Example(task="paraphrase", source="x", target="y"))
+    ex = Example(task="paraphrase", source="x", target="y")
     mixer = TaskMixer({"paraphrase": [ex]}, batch_size=2)
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -396,8 +465,8 @@ def test_mixer_singleton_always_sampled():
 
 
 def test_mixer_weighted_frequencies():
-    ex_a = finalize_example(Example(task="paraphrase", source="x", target="y"))
-    ex_b = finalize_example(Example(task="summarize", source="x", target="y"))
+    ex_a = Example(task="paraphrase", source="x", target="y")
+    ex_b = Example(task="summarize", source="x", target="y")
     mixer = TaskMixer({"paraphrase": [ex_a], "summarize": [ex_b]},
                       weights={"paraphrase": 3.0, "summarize": 1.0}, batch_size=1)
     rng = np.random.default_rng(1)
@@ -406,8 +475,8 @@ def test_mixer_weighted_frequencies():
 
 
 def test_mixer_default_weights_proportional_to_size():
-    ex_a = finalize_example(Example(task="paraphrase", source="x", target="y"))
-    ex_b = finalize_example(Example(task="summarize", source="x", target="y"))
+    ex_a = Example(task="paraphrase", source="x", target="y")
+    ex_b = Example(task="summarize", source="x", target="y")
     mixer = TaskMixer({"paraphrase": [ex_a] * 800, "summarize": [ex_b] * 200})
     weights = dict(zip(mixer.names, mixer.weights))
     assert weights["paraphrase"] == pytest.approx(0.8)
@@ -481,16 +550,16 @@ class _ScriptedModel:
 
 def test_evaluate_dev_oracle_model_scores_perfectly():
     vocab = build_vocab(["abcdefgh "], max_size=64, sentinels=4)
-    dev = [finalize_example(Example(task="translitrate_ar2en", source="ab", target="cd")),
-           finalize_example(Example(task="translitrate_ar2en", source="ef", target="gh"))]
+    dev = [Example(task="translitrate_ar2en", source="ab", target="cd"),
+           Example(task="translitrate_ar2en", source="ef", target="gh")]
     mapping = {tuple(vocab.encode(ex.model_source)): vocab.encode(ex.target) for ex in dev}
     model = _ScriptedModel(vocab, mapping)
     spec = task_for_prefix("translitrate_ar2en")
     assert evaluate_dev(model, vocab, dev, spec) == 0.0  # CER of a perfect model
 
     bleu_spec = task_for_prefix("paraphrase")
-    dev_b = [finalize_example(Example(task="paraphrase", source="ab", target="c d")),
-             finalize_example(Example(task="paraphrase", source="ef", target="g h"))]
+    dev_b = [Example(task="paraphrase", source="ab", target="c d"),
+             Example(task="paraphrase", source="ef", target="g h")]
     mapping = {tuple(vocab.encode(ex.model_source)): vocab.encode(ex.target) for ex in dev_b}
     model = _ScriptedModel(vocab, mapping)
     assert evaluate_dev(model, vocab, dev_b, bleu_spec) == pytest.approx(100.0)
@@ -684,9 +753,9 @@ def test_labeled_sets_need_distinct_known_tasks(monkeypatch, names, message):
 
     monkeypatch.setattr(trainer, "adam_step", _no_step)
     examples, vocab, cfg, model = _mini_setup(n_examples=40)
-    data = Datasets(tasks=[TaskData(name, examples[20 * i:20 * (i + 1)])
-                           for i, name in enumerate(names)])
     with pytest.raises(ValueError, match=message):
+        data = Datasets(tasks=[TaskData(name, examples[20 * i:20 * (i + 1)])
+                               for i, name in enumerate(names)])
         train(model, vocab, TrainConfig(strategy="multitask", batch_size=8, max_steps=30), data)
 
 

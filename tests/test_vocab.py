@@ -107,13 +107,6 @@ def test_encode_decode_encode_idempotent():
     assert vocab.decode(vocab.encode("aZ")) == "a" + UNK_GLYPH
 
 
-def test_word_mode():
-    vocab = build_vocab(["the cat sat on the mat"], max_size=200, unit="word")
-    ids = vocab.encode("the cat sat")
-    assert vocab.decode(ids) == "the cat sat"
-    assert vocab.encode("the dog")[1] == UNK_ID
-
-
 def test_serialization_round_trip(tmp_path):
     vocab = build_vocab(["hello world\twith tabs\nand newlines\\ok"], max_size=200, sentinels=7)
     path = tmp_path / "vocab.txt"
@@ -121,15 +114,21 @@ def test_serialization_round_trip(tmp_path):
     loaded = Vocabulary.load(path)
     assert loaded.vocab_size == vocab.vocab_size
     assert loaded.num_sentinels == vocab.num_sentinels
-    assert loaded.unit == vocab.unit
     assert loaded.content_tokens == vocab.content_tokens
     # bit-exact file round trip
     vocab.save(tmp_path / "again.txt")
     assert (tmp_path / "vocab.txt").read_bytes() == (tmp_path / "again.txt").read_bytes()
 
 
+def test_load_rejects_a_unit_other_than_char(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("vocab_size=7\tsentinels=2\tunit=word\nab\nq\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unsupported unit 'word'"):
+        Vocabulary.load(path)
+
+
 def test_load_reads_hand_edited_escapes(tmp_path):
     # a lone trailing backslash stays, and an unknown escape reads as its letter
     path = tmp_path / "vocab.txt"
-    path.write_text("vocab_size=7\tsentinels=2\tunit=word\nab\\\n\\q\n", encoding="utf-8")
+    path.write_text("vocab_size=7\tsentinels=2\tunit=char\nab\\\n\\q\n", encoding="utf-8")
     assert Vocabulary.load(path).content_tokens == ["ab\\", "q"]
