@@ -237,9 +237,7 @@ def _cached_step(model, vocab, groups: list[list[list[int]]], rows) -> BatchStep
     def step(parents: np.ndarray, prefixes: list[tuple[int, ...]]) -> np.ndarray:
         cache.reorder(parents)
         dec = np.asarray([[p[-1] if p else vocab.pad_id] for p in prefixes], dtype=np.int64)
-        with no_grad():
-            logits = model.decode_logits(encs, None, dec, cache=cache)
-        lp = logits.data[:, -1].astype(np.float64)
+        lp = model.decode_logits(encs, None, dec, cache=cache).data[:, -1].astype(np.float64)
         lp -= lp.max(axis=-1, keepdims=True)
         return lp - np.log(np.exp(lp).sum(axis=-1, keepdims=True))
 

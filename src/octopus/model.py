@@ -209,8 +209,9 @@ class DecoderCache:
 
     Decoder row i reads source `rows[i]`, counted across the unpadded source
     groups in order, so one encoded source can feed several rows (beams,
-    sampled draws). Self-attention keys and values gain a position per
-    decoded token; cross-attention keys and values are projected once per
+    sampled draws). Self-attention keys and values fill the first `length`
+    positions of buffers of the model's max_seq_len positions, kept while
+    the rows fit; cross-attention keys and values are projected once per
     group on the first call and then read by row.
     Inference only: cached arrays carry no gradient.
     """
@@ -218,26 +219,35 @@ class DecoderCache:
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=np.int64)
         self.length = 0  # decoder positions held
-        self.kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # self-attention -> (B, H, L, dh)
+        # self-attention -> [k, v] of (max_seq_len, rows or more, H, dh): position-major, so
+        # the filled part is contiguous and a new buffer touches only the pages it fills
+        self.kv: dict[str, list[np.ndarray]] = {}
         # cross-attention -> one (k, v) pair per source group, (n, H, S, dh) each
         self.cross: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._groups: list[tuple[int, slice | np.ndarray, slice | np.ndarray]] | None = None
 
-    def append(self, name: str, k: np.ndarray, v: np.ndarray):
-        """Add new self-attention positions after the cached ones; return
-        all the keys and values the attention now holds."""
-        if name in self.kv:
-            k, v = (np.concatenate([old, new], axis=2) for old, new in zip(self.kv[name], (k, v)))
-        self.kv[name] = (k, v)
-        return k, v
+    def append(self, name: str, k: np.ndarray, v: np.ndarray, max_len: int):
+        """Write new self-attention positions, (B, H, T, dh) each, after the
+        `length` cached ones; return all filled positions as (B, H, L, dh)."""
+        end, n = self.length + k.shape[2], len(self.rows)
+        if name not in self.kv:
+            self.kv[name] = [np.empty((max_len, *a.shape[:2], a.shape[3]), a.dtype) for a in (k, v)]
+        for buf, new in zip(self.kv[name], (k, v)):
+            buf[self.length:end, :n] = new.transpose(2, 0, 1, 3)
+        return tuple(buf[:end, :n].transpose(1, 2, 0, 3) for buf in self.kv[name])
 
     def reorder(self, parents):
-        """Make old row parents[i] the new row i; rows may repeat or drop."""
+        """Make old row parents[i] the new row i; rows may repeat or drop.
+        Only the filled positions are copied, in place while the rows fit."""
         parents = np.asarray(parents, dtype=np.int64)
         if len(parents) == len(self.rows) and (parents == np.arange(len(parents))).all():
             return
         self.rows = self.rows[parents]
-        self.kv = {name: (k[parents], v[parents]) for name, (k, v) in self.kv.items()}
+        for bufs in self.kv.values():
+            for i, buf in enumerate(bufs):
+                if len(parents) > buf.shape[1]:
+                    bufs[i] = np.empty((len(buf), len(parents), *buf.shape[2:]), buf.dtype)
+                bufs[i][:self.length, :len(parents)] = buf[:self.length, parents]
         self._groups = None
 
     def row_groups(self, sizes: list[int]):
@@ -312,7 +322,12 @@ class Seq2SeqTransformer:
                 f"{name} length {ids.shape[1]} exceeds max_seq_len {self.config.max_seq_len}"
             )
 
-    def _relpos_bias(self, stack: str, q_start: int, q_len: int, k_len: int) -> Tensor:
+    def _param(self, ops, name: str):
+        """A parameter as the op set takes it: a Tensor for `tensor`, else its array."""
+        p = self.params[name]
+        return p if ops is T else p.data
+
+    def _relpos_bias(self, ops, stack: str, q_start: int, q_len: int, k_len: int):
         """Bias for query positions q_start..q_start+q_len over keys 0..k_len,
         sliced from one bucket matrix per stack."""
         if stack not in self._buckets:
@@ -322,68 +337,53 @@ class Seq2SeqTransformer:
                 self.config.relpos_num_buckets, self.config.relpos_max_distance,
             )
         buckets = self._buckets[stack][q_start:q_start + q_len, :k_len]
-        table = self.params[f"{stack}.relpos"]  # (H, num_buckets)
-        by_bucket = T.transpose(table, (1, 0))  # (num_buckets, H)
-        bias = T.take(by_bucket, buckets)  # (q, k, H)
-        bias = T.transpose(bias, (2, 0, 1))
-        return T.reshape(bias, (1, self.config.n_heads) + buckets.shape)
+        table = self._param(ops, f"{stack}.relpos")  # (H, num_buckets)
+        by_bucket = ops.transpose(table, (1, 0))  # (num_buckets, H)
+        bias = ops.take(by_bucket, buckets)  # (q, k, H)
+        bias = ops.transpose(bias, (2, 0, 1))
+        return ops.reshape(bias, (1, self.config.n_heads) + buckets.shape)
 
-    def _heads(self, x: Tensor, weight: str) -> Tensor:
+    def _heads(self, ops, x, weight: str):
         """Project (B, L, d_model) and split heads: (B, H, L, d_head)."""
         cfg = self.config
-        y = T.matmul(x, self.params[weight])
-        y = T.reshape(y, (x.shape[0], x.shape[1], cfg.n_heads, cfg.d_model // cfg.n_heads))
-        return T.transpose(y, (0, 2, 1, 3))
+        y = ops.matmul(x, self._param(ops, weight))
+        y = ops.reshape(y, (x.shape[0], x.shape[1], cfg.n_heads, cfg.d_model // cfg.n_heads))
+        return ops.transpose(y, (0, 2, 1, 3))
 
-    def _attention(self, x_q: Tensor, x_kv: Tensor, base: str,
-                   mask_add: np.ndarray | None, bias: Tensor | None,
-                   rng: np.random.Generator | None, cache: DecoderCache | None = None) -> Tensor:
+    def _attention(self, ops, x_q, x_kv, base: str, mask_add: np.ndarray | None, bias,
+                   rng: np.random.Generator | None, cache: DecoderCache | None = None):
         """Multi-head attention of x_q over x_kv, dropout on the weights
-        when given an rng; with a cache (self-attention only) the new keys
-        and values are appended to the cached ones."""
-        q = self._heads(x_q, f"{base}.wq")
-        k = self._heads(x_kv, f"{base}.wk")
-        v = self._heads(x_kv, f"{base}.wv")
-        if cache is not None:
-            k, v = (Tensor(a, dtype=a.dtype) for a in cache.append(base, k.data, v.data))
+        when given an rng. With a cache, self-attention (x_kv is x_q) adds
+        its new keys and values after the cached ones, and cross-attention
+        reads x_kv as a list of source groups, projected once each; each row
+        attends to its own group, with the operands of a decode of it alone."""
+        def kv(x):
+            return self._heads(ops, x, f"{base}.wk"), self._heads(ops, x, f"{base}.wv")
+
+        q = self._heads(ops, x_q, f"{base}.wq")
         # scaled dot-product keeps init-time logits near unit variance,
         # which matters for trainability at desk scale
-        rate = self.config.dropout_rate if rng is not None else 0.0
-        out = T.attention(q, k, v, 1.0 / math.sqrt(q.shape[-1]), bias, mask_add, rate, rng)
-        return self._merge_heads(out, base)
-
-    def _merge_heads(self, out: Tensor, base: str) -> Tensor:
+        args = (1.0 / math.sqrt(q.shape[-1]), bias, mask_add,
+                self.config.dropout_rate if rng is not None else 0.0, rng)
+        if cache is None:
+            out = ops.attention(q, *kv(x_kv), *args)
+        elif x_kv is x_q:
+            out = ops.attention(q, *cache.append(base, *kv(x_kv), self.config.max_seq_len), *args)
+        else:
+            if base not in cache.cross:
+                cache.cross[base] = [kv(enc.data) for enc in x_kv]
+            out = np.empty_like(q)
+            for g, sel, loc in cache.row_groups([enc.shape[0] for enc in x_kv]):
+                k, v = cache.cross[base][g]
+                out[sel] = ops.attention(q[sel], k[loc], v[loc], *args)
         b, _, lq, _ = out.shape
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, lq, self.config.d_model))
-        return T.matmul(out, self.params[f"{base}.wo"])
+        out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (b, lq, self.config.d_model))
+        return ops.matmul(out, self._param(ops, f"{base}.wo"))
 
-    def _cached_cross(self, x_q: Tensor, enc_hidden: list[Tensor], base: str,
-                      cache: DecoderCache) -> Tensor:
-        """Cross-attention of cached rows, each over its own source group.
-
-        Each group's keys and values are projected once and read by row
-        every step; rows of different groups meet only in the projections,
-        so every row sees the operands of a decode of its group alone. The
-        float ops are those of `tensor.attention`, on plain arrays; its
-        fully-masked-row check is left out, as no key is masked here.
-        """
-        q = self._heads(x_q, f"{base}.wq").data
-        if base not in cache.cross:
-            cache.cross[base] = [(self._heads(enc, f"{base}.wk").data,
-                                  self._heads(enc, f"{base}.wv").data) for enc in enc_hidden]
-        out = np.empty_like(q)
-        q = q * q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
-        for g, sel, loc in cache.row_groups([enc.shape[0] for enc in enc_hidden]):
-            k, v = cache.cross[base][g]
-            scores = np.matmul(q[sel], np.swapaxes(k[loc], -1, -2))
-            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            out[sel] = np.matmul(e / e.sum(axis=-1, keepdims=True), v[loc])
-        return self._merge_heads(Tensor(out, dtype=out.dtype), base)
-
-    def _ff(self, x: Tensor, base: str, rng: np.random.Generator | None) -> Tensor:
-        inner = T.relu(T.matmul(x, self.params[f"{base}.wi"]))
+    def _ff(self, ops, x, base: str, rng: np.random.Generator | None):
+        inner = ops.relu(ops.matmul(x, self._param(ops, f"{base}.wi")))
         inner = self._dropout(inner, rng)
-        return T.matmul(inner, self.params[f"{base}.wo"])
+        return ops.matmul(inner, self._param(ops, f"{base}.wo"))
 
     @staticmethod
     def _key_mask_add(attn_mask: np.ndarray, dtype) -> np.ndarray:
@@ -405,14 +405,14 @@ class Seq2SeqTransformer:
         x = self._dropout(x, rng)
         mask_add = self._key_mask_add(mask, x.data.dtype)
         length = ids.shape[1]
-        bias = self._relpos_bias("encoder", 0, length, length) if cfg.n_enc_layers else None
+        bias = self._relpos_bias(T, "encoder", 0, length, length) if cfg.n_enc_layers else None
         for i in range(cfg.n_enc_layers):
             base = f"encoder.block{i}"
             h = T.rms_norm(x, self.params[f"{base}.attn.norm"])
             x = T.add(x, self._dropout(
-                self._attention(h, h, f"{base}.attn", mask_add, bias, rng), rng))
+                self._attention(T, h, h, f"{base}.attn", mask_add, bias, rng), rng))
             h = T.rms_norm(x, self.params[f"{base}.ff.norm"])
-            x = T.add(x, self._dropout(self._ff(h, f"{base}.ff", rng), rng))
+            x = T.add(x, self._dropout(self._ff(T, h, f"{base}.ff", rng), rng))
         x = T.rms_norm(x, self.params["encoder.final_norm"])
         return self._dropout(x, rng)
 
@@ -429,46 +429,49 @@ class Seq2SeqTransformer:
         positions of each cached row; their keys and values are appended
         to the cache. enc_hidden is then a list of unpadded encoded source
         groups, whose sources are numbered across the groups in order
-        (`cache.rows` indexes that numbering), and enc_mask must be None.
+        (`cache.rows` indexes that numbering), and enc_mask and rng must be
+        None. The cached forward runs the same float ops on plain arrays
+        (`tensor.array_ops`), builds no graph, and wraps only its logits.
         """
-        if cache is not None and enc_mask is not None:
-            raise ValueError("cached decoding reads unpadded source groups; pass enc_mask=None")
+        if cache is not None and (enc_mask is not None or rng is not None):
+            raise ValueError("cached decoding is inference on unpadded source groups; "
+                             "pass enc_mask=None and rng=None")
         dec_ids = np.asarray(dec_ids, dtype=np.int64)
         self._check_ids(dec_ids, "decoder ids")
         cfg = self.config
+        ops = T if cache is None else T.array_ops
         start = cache.length if cache is not None else 0
         t_len = dec_ids.shape[1]
         end = start + t_len
         if end > cfg.max_seq_len:
             raise ValueError(f"decoder length {end} exceeds max_seq_len {cfg.max_seq_len}")
-        emb = self.params["shared.embedding"]
-        x = T.take(emb, dec_ids)
+        emb = self._param(ops, "shared.embedding")
+        x = ops.take(emb, dec_ids)
         x = self._dropout(x, rng)
-        dt = x.data.dtype
+        dt = x.dtype
         # a single query row may see every key, so it needs no causal mask
         causal = (np.triu(np.full((1, 1, t_len, end), -np.inf, dtype=dt), k=1 + start)
                   if t_len > 1 else None)
-        if cache is None:
-            cross_mask = self._key_mask_add(np.asarray(enc_mask, dtype=bool), dt)
-        bias = self._relpos_bias("decoder", start, t_len, end) if cfg.n_dec_layers else None
+        cross_mask = (self._key_mask_add(np.asarray(enc_mask, dtype=bool), dt)
+                      if cache is None else None)
+        bias = self._relpos_bias(ops, "decoder", start, t_len, end) if cfg.n_dec_layers else None
         for i in range(cfg.n_dec_layers):
             base = f"decoder.block{i}"
-            h = T.rms_norm(x, self.params[f"{base}.attn.norm"])
-            x = T.add(x, self._dropout(
-                self._attention(h, h, f"{base}.attn", causal, bias, rng, cache), rng))
-            h = T.rms_norm(x, self.params[f"{base}.cross.norm"])
-            cross = (self._attention(h, enc_hidden, f"{base}.cross", cross_mask, None, rng)
-                     if cache is None else
-                     self._cached_cross(h, enc_hidden, f"{base}.cross", cache))
-            x = T.add(x, self._dropout(cross, rng))
-            h = T.rms_norm(x, self.params[f"{base}.ff.norm"])
-            x = T.add(x, self._dropout(self._ff(h, f"{base}.ff", rng), rng))
+            h = ops.rms_norm(x, self._param(ops, f"{base}.attn.norm"))
+            x = ops.add(x, self._dropout(
+                self._attention(ops, h, h, f"{base}.attn", causal, bias, rng, cache), rng))
+            h = ops.rms_norm(x, self._param(ops, f"{base}.cross.norm"))
+            x = ops.add(x, self._dropout(self._attention(
+                ops, h, enc_hidden, f"{base}.cross", cross_mask, None, rng, cache), rng))
+            h = ops.rms_norm(x, self._param(ops, f"{base}.ff.norm"))
+            x = ops.add(x, self._dropout(self._ff(ops, h, f"{base}.ff", rng), rng))
         if cache is not None:
             cache.length = end
-        x = T.rms_norm(x, self.params["decoder.final_norm"])
+        x = ops.rms_norm(x, self._param(ops, "decoder.final_norm"))
         x = self._dropout(x, rng)
-        x = T.mul(x, 1.0 / math.sqrt(cfg.d_model))
-        return T.matmul(x, T.transpose(emb, (1, 0)))
+        x = ops.mul(x, 1.0 / math.sqrt(cfg.d_model))
+        logits = ops.matmul(x, ops.transpose(emb, (1, 0)))
+        return logits if cache is None else Tensor(logits, dtype=logits.dtype)
 
     def batch_loss(self, batch, rng: np.random.Generator | None = None) -> Tensor:
         """Mean token cross-entropy over the target positions that are not

@@ -78,11 +78,12 @@ def registry_json() -> str:
     return json.dumps([asdict(REGISTRY[p]) for p in PREFIXES], sort_keys=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Example:
-    """One supervised example, checked on construction; `source` is the raw
-    payload, aux fields feed the QA/QG templates. `model_source` is the
-    prefixed model input, out of equality so JSONL round-trips compare on content."""
+    """One supervised example, checked on construction and frozen after, so
+    its model input always matches its fields; `source` is the raw payload,
+    aux fields feed the QA/QG templates. `model_source` is the prefixed
+    model input, out of equality so JSONL round-trips compare on content."""
 
     task: str
     target: str
@@ -95,13 +96,13 @@ class Example:
 
     def __post_init__(self):
         spec = task_for_prefix(self.task)
-        self.task = spec.prefix
-        self.model_source = format_input(spec, {"text": self.source, "question": self.question,
-                                                "context": self.context, "answer": self.answer})
+        object.__setattr__(self, "task", spec.prefix)
+        object.__setattr__(self, "model_source", format_input(spec, dict(
+            text=self.source, question=self.question, context=self.context, answer=self.answer)))
         if not self.target:
             raise ValueError("example target must be non-empty")
         if self.gold_edits is not None:
-            self.gold_edits = EditSet(self.gold_edits).edits
+            object.__setattr__(self, "gold_edits", EditSet(self.gold_edits).edits)
             n_words = len((self.source or "").split())
             if any(end > n_words for _, end, _ in self.gold_edits):
                 raise ValueError(f"a gold edit ends past the source's {n_words} words")

@@ -8,6 +8,7 @@ dtype of its inputs.
 from __future__ import annotations
 
 import contextlib
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -256,6 +257,23 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(p, (x,), lambda g: (_softmax_vjp(g, p, axis),))
 
 
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, bias=None,
+            mask_add=None, rate: float = 0.0, rng: np.random.Generator | None = None):
+    """The array forward of `attention`: (output, attention weights before
+    dropout, bool keep mask or None)."""
+    dt = q.dtype
+    scores = np.matmul(q * dt.type(scale), k.swapaxes(-1, -2))
+    if bias is not None:
+        scores += bias
+    if mask_add is not None:
+        scores += np.asarray(mask_add, dtype=dt)
+    p = _softmax(scores, -1)
+    if rate <= 0.0:
+        return np.matmul(p, v), p, None
+    keep = rng.random(p.shape) >= rate
+    return np.matmul(p * keep * dt.type(1.0 / (1.0 - rate)), v), p, keep
+
+
 def attention(q, k, v, scale: float, bias=None, mask_add=None,
               rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
     """softmax(q*scale @ kᵀ + bias + mask_add) @ v over the last two axes,
@@ -272,26 +290,16 @@ def attention(q, k, v, scale: float, bias=None, mask_add=None,
     """
     q = _as_tensor(q)
     k, v = _as_tensor(k, like=q), _as_tensor(v, like=q)
-    dt = q.data.dtype
-    s = np.asarray(scale, dtype=dt)
-    kt = np.swapaxes(k.data, -1, -2)
-    scores = np.matmul(q.data * s, kt)
     parents = (q, k, v)
     if bias is not None:
         bias = _as_tensor(bias, like=q)
         parents += (bias,)
-        scores += bias.data
-    if mask_add is not None:
-        scores += np.asarray(mask_add, dtype=dt)
-    p = _softmax(scores, -1)
-    keep = None
-    if rate > 0.0:
-        keep = rng.random(p.shape) >= rate
-        drop_scale = 1.0 / (1.0 - rate)
-    weights = p if keep is None else p * keep * dt.type(drop_scale)
-    out = np.matmul(weights, v.data)
+    out, p, keep = _attend(q.data, k.data, v.data, scale,
+                           None if bias is None else bias.data, mask_add, rate, rng)
 
     def vjp(g):
+        dt = q.data.dtype
+        s, drop_scale = dt.type(scale), 1.0 / (1.0 - rate)
         w = p if keep is None else p * keep * dt.type(drop_scale)
         gw = _unbroadcast(np.matmul(g, np.swapaxes(v.data, -1, -2)), p.shape)
         gv = _unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.data.shape)
@@ -300,11 +308,19 @@ def attention(q, k, v, scale: float, bias=None, mask_add=None,
         gs = _softmax_vjp(gw, p, -1)
         gq = _unbroadcast(np.matmul(gs, k.data) * s, q.data.shape)
         gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(q.data * s, -1, -2), gs),
-                                      kt.shape), -1, -2)
+                                      np.swapaxes(k.data, -1, -2).shape), -1, -2)
         grads = (gq, gk, gv)
         return grads if bias is None else grads + (_unbroadcast(gs, bias.data.shape),)
 
     return _make(out, parents, vjp)
+
+
+def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6):
+    """The array forward of `rms_norm`: (output, 1/rms, x/rms)."""
+    ms = (x * x).sum(axis=-1, keepdims=True) / x.shape[-1]
+    inv = 1.0 / np.sqrt(ms + eps)
+    normed = x * inv
+    return normed * gain, inv, normed
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
@@ -316,10 +332,7 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
             f"rms_norm gain shape {gain.data.shape} does not match last axis of {x.data.shape}"
         )
     n = x.data.shape[-1]
-    ms = (x.data * x.data).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(ms + eps)
-    normed = x.data * inv
-    data = normed * gain.data
+    data, inv, normed = _rms_norm(x.data, gain.data, eps)
 
     def vjp(g):
         u = g * gain.data
@@ -381,6 +394,15 @@ def cross_entropy(logits: Tensor, targets, ignore_id: int = -100) -> Tensor:
         return (grad * g,)
 
     return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), vjp)
+
+
+# The forwards of the ops above on plain arrays, under the same names and
+# signatures: the op set of a forward that builds no graph (cached decoding).
+array_ops = SimpleNamespace(
+    add=np.add, mul=np.multiply, matmul=np.matmul, relu=lambda x: np.maximum(x, 0),
+    reshape=lambda x, shape: x.reshape(shape), transpose=lambda x, axes: x.transpose(axes),
+    take=lambda x, indices: x[indices], rms_norm=lambda x, gain: _rms_norm(x, gain)[0],
+    attention=lambda *args: _attend(*args)[0])
 
 
 def _freed(g):

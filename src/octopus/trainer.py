@@ -99,17 +99,20 @@ class CheckpointMeta:
         return meta
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskData:
-    """A labeled pool plus an optional dev set. `task` becomes its canonical
-    prefix on construction, and every example must be of that task."""
+    """A frozen labeled pool plus an optional dev set. `task` becomes its
+    canonical prefix on construction, every example must be of that task,
+    and the splits are tuples, so no unchecked example can join them."""
 
     task: str
-    train: list[Example]
-    dev: list[Example] | None = None
+    train: tuple[Example, ...]
+    dev: tuple[Example, ...] | None = None
 
     def __post_init__(self):
-        self.task = normalize_prefix(self.task)
+        object.__setattr__(self, "task", normalize_prefix(self.task))
+        object.__setattr__(self, "train", tuple(self.train))
+        object.__setattr__(self, "dev", None if self.dev is None else tuple(self.dev))
         for split, examples in (("train", self.train), ("dev", self.dev or [])):
             for i, ex in enumerate(examples):
                 if ex.task != self.task:
@@ -157,9 +160,11 @@ class TaskMixer:
         if weights is None:
             raw = [float(len(pools[n])) for n in self.names]
         else:
-            missing = set(self.names) - set(weights)
+            missing, extra = set(self.names) - set(weights), set(weights) - set(self.names)
             if missing:
                 raise ValueError(f"missing mixing weights for {sorted(missing)}")
+            if extra:
+                raise ValueError(f"mixing weights for tasks with no labeled set: {sorted(extra)}")
             raw = [float(weights[n]) for n in self.names]
         total = sum(raw)
         self.weights = [w / total for w in raw]

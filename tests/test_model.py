@@ -361,6 +361,65 @@ def test_cache_over_source_groups_matches_each_group_alone():
             assert np.array_equal(got[2][kept], want)
 
 
+def test_cache_holds_max_seq_len_positions_through_reorders():
+    """One token at a time up to max_seq_len, with a beam-style reorder
+    before every step: after each reorder a row's keys and values are its
+    parent's, positions past `length` are never read (they are set to NaN),
+    and every step's logits match an uncached decode of the same prefixes."""
+    model = _biased_model()  # max_seq_len 16
+    batch = tiny_batch()
+    rng = np.random.default_rng(6)
+    with no_grad():
+        groups = _unpadded_groups(model, batch)
+        cache = DecoderCache([0, 1, 1])
+        prefixes = np.zeros((3, 0), dtype=np.int64)
+        for t in range(model.config.max_seq_len):
+            parents = rng.integers(0, 3, size=3)
+            # buffers are (position, row, head, d_head)
+            before = {name: [a[:t, :3].copy() for a in kv] for name, kv in cache.kv.items()}
+            cache.reorder(parents)
+            for name, kv in cache.kv.items():
+                for a, old in zip(kv, before[name]):
+                    assert np.array_equal(a[:t, :3], old[:, parents])
+                    a[t:] = np.nan
+            new = rng.integers(2, 16, size=(3, 1))
+            prefixes = np.concatenate([prefixes[parents], new], axis=1)
+            step = model.decode_logits(groups, None, new, cache=cache).data[:, -1]
+            src = cache.rows
+            enc = model.encode(batch.enc_ids[src], batch.enc_mask[src])
+            full = model.decode_logits(enc, batch.enc_mask[src], prefixes).data[:, -1]
+            assert np.abs(step - full).max() < 1e-6
+    assert cache.length == model.config.max_seq_len
+
+
+def test_cached_decode_calls_no_tensor_op(monkeypatch):
+    """The cached branch runs on plain arrays: with every tensor op the
+    decoder uses made to raise, a cached decode gives the same logits."""
+    from octopus import tensor
+
+    model = _biased_model()
+    batch = tiny_batch()
+    dec = np.array([[0, 5], [0, 7]])
+    with no_grad():
+        groups = _unpadded_groups(model, batch)
+
+    def run():
+        cache = DecoderCache([1, 0])
+        return [model.decode_logits(groups, None, dec[:, i:i + 1], cache=cache).data
+                for i in range(dec.shape[1])]
+
+    want = run()
+
+    def raises(*args, **kwargs):
+        raise AssertionError("a cached decode called a tensor op")
+
+    for op in ("matmul", "rms_norm", "attention", "add", "mul", "take", "relu", "reshape",
+               "transpose"):
+        monkeypatch.setattr(tensor, op, raises)
+    for got, logits in zip(run(), want):
+        assert np.array_equal(got, logits)
+
+
 def test_cached_decode_rejects_a_mask():
     model = _biased_model()
     batch = tiny_batch()

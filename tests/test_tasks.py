@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -233,6 +233,13 @@ def test_example_is_finalized_on_construction():
     gec = Example(task="correct_grammar", source="a b c", target="x b",
                   gold_edits=[[2, 3, []], [0, 1, ["x"]]])
     assert gec.gold_edits == [(0, 1, ("x",)), (2, 3, ())]
+
+
+def test_example_is_frozen():
+    ex = Example(task="paraphrase", source="x", target="y")
+    with pytest.raises(FrozenInstanceError):
+        ex.source = "zzz"
+    assert ex.source == "x" and ex.model_source == "paraphrase: x"
 
 
 @pytest.mark.parametrize("fields, message", [

@@ -3,7 +3,7 @@ import os
 import signal
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +103,17 @@ def test_example_built_directly_trains():
     tc = TrainConfig(strategy="single_task", batch_size=2, max_steps=2, seed=0)
     result = train(model, vocab, tc, Datasets(tasks=[TaskData("translitrate_ar2en", [ex])]))
     assert len(result.losses) == 2 and all(map(math.isfinite, result.losses))
+
+
+def test_task_data_splits_take_no_unchecked_example():
+    ex = Example(task="paraphrase", source="x", target="y")
+    td = TaskData("paraphrase", [ex], dev=[ex])
+    assert td.train == (ex,) and td.dev == (ex,)
+    other = Example(task="summarize", source="x", target="y")
+    with pytest.raises(AttributeError):
+        td.train.append(other)
+    with pytest.raises(FrozenInstanceError):
+        td.train = [other]
 
 
 @pytest.mark.parametrize("train_tasks, dev_tasks, message", [
@@ -462,6 +473,19 @@ def test_mixer_singleton_always_sampled():
         name, batch = sample_task_batch(mixer, rng)
         assert name == "paraphrase"
         assert len(batch) == 2
+
+
+def test_mixer_rejects_a_weight_for_a_task_without_a_set():
+    examples, vocab, cfg, model = _mini_setup()
+    ex = Example(task="paraphrase", source="x", target="y")
+    with pytest.raises(ValueError, match=r"no labeled set: \['summarize'\]"):
+        TaskMixer({"paraphrase": [ex]}, weights={"paraphrase": 1.0, "summarize": 5.0})
+    tc = TrainConfig(strategy="joint", batch_size=4, max_steps=1,
+                     task_weights={"translitrate_ar2en": 1.0, "diacritize": 2.0})
+    data = Datasets(texts=[e.target for e in examples],
+                    tasks=[TaskData("translitrate_ar2en", examples)])
+    with pytest.raises(ValueError, match=r"no labeled set: \['diacritize'\]"):
+        train(model, vocab, tc, data)
 
 
 def test_mixer_weighted_frequencies():
