@@ -123,6 +123,28 @@ def _generate_all(model, vocab, sources: list[list[int]],
             for hyps in generate_batch(model, vocab, sources, cfg, batch_size)]
 
 
+def _log(args: argparse.Namespace, stderr, line: str) -> bool:
+    """Append one whole line to the -l file, if one is given; False once a
+    failure to write it is printed."""
+    if args.logging_file:
+        try:
+            with open(args.logging_file, "a", encoding="utf-8") as f:
+                f.write(line + "\n")
+        except OSError as e:
+            print(f"error: cannot open logging file: {e}", file=stderr)
+            return False
+    return True
+
+
+def _config_line(prefix: str, cfg: DecodeConfig) -> str:
+    return (f"config\tprefix={prefix}\tmethod={cfg.method}\tnbeam={cfg.nbeam}\t"
+            f"max_outputs={cfg.max_outputs}\tseq_length={cfg.seq_length}")
+
+
+def _done_line(inputs: int, t0: float) -> str:
+    return f"done\tinputs={inputs}\twallclock_ms={int((time.perf_counter() - t0) * 1000)}"
+
+
 def run_batch(args: argparse.Namespace, stdout=None, stderr=None) -> int:
     """Decode --text or every line of --input-file and print hypotheses as
     "target{i}: <text>" blocks separated by blank lines."""
@@ -150,30 +172,16 @@ def run_batch(args: argparse.Namespace, stdout=None, stderr=None) -> int:
             print(f"error: line {n}: {e}", file=stderr)
             return 1
 
-    log = None
-    if args.logging_file:
-        try:
-            log = open(args.logging_file, "a", encoding="utf-8")
-        except OSError as e:
-            print(f"error: cannot open logging file: {e}", file=stderr)
-            return 1
-        log.write(f"config\tprefix={args.prefix}\tmethod={cfg.method}\tnbeam={cfg.nbeam}\t"
-                  f"max_outputs={cfg.max_outputs}\tseq_length={cfg.seq_length}\n")
-    try:
-        t0 = time.perf_counter()
-        blocks = _generate_all(model, vocab, sources, cfg, args.batch_size)
-        for i, hyps in enumerate(blocks):
-            if i:
-                stdout.write("\n")
-            for j, text in enumerate(hyps, start=1):
-                stdout.write(f"target{j}: {text}\n")
-        if log is not None:
-            ms = int((time.perf_counter() - t0) * 1000)
-            log.write(f"done\tinputs={len(sources)}\twallclock_ms={ms}\n")
-    finally:
-        if log is not None:
-            log.close()
-    return 0
+    if not _log(args, stderr, _config_line(args.prefix, cfg)):
+        return 1
+    t0 = time.perf_counter()
+    blocks = _generate_all(model, vocab, sources, cfg, args.batch_size)
+    for i, hyps in enumerate(blocks):
+        if i:
+            stdout.write("\n")
+        for j, text in enumerate(hyps, start=1):
+            stdout.write(f"target{j}: {text}\n")
+    return 0 if _log(args, stderr, _done_line(len(sources), t0)) else 1
 
 
 def repl_loop(args: argparse.Namespace, stdin=None, stdout=None, stderr=None) -> int:
@@ -206,6 +214,8 @@ def repl_loop(args: argparse.Namespace, stdin=None, stdout=None, stderr=None) ->
             tasks = [normalize_prefix(name) for name in names] or None
         except ValueError:
             stdout.write(f"Unknown task. Valid tasks: {', '.join(PREFIXES)}\n")
+    if not _log(args, stderr, _config_line(",".join(tasks), cfg)):
+        return 1
 
     while True:
         stdout.write("Type your source text or (q) to STOP:\n")
@@ -219,6 +229,7 @@ def repl_loop(args: argparse.Namespace, stdin=None, stdout=None, stderr=None) ->
             continue
         if current == "q":
             return 0
+        t0 = time.perf_counter()
         for k, task in enumerate(tasks):
             # a later stage reads the previous stage's output, not the line
             what = f"input to {task} (output of {tasks[k - 1]})" if k else "input"
@@ -232,6 +243,8 @@ def repl_loop(args: argparse.Namespace, stdin=None, stdout=None, stderr=None) ->
         else:  # every stage decoded
             for j, hyp in enumerate(hyps, start=1):
                 stdout.write(f"target{j}: {hyp}\n")
+            if not _log(args, stderr, _done_line(1, t0)):
+                return 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -259,6 +259,9 @@ def generate_batch(model, vocab, sources: list[list[int]], cfg: DecodeConfig,
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    for i, source in enumerate(sources):
+        if len(source) == 0:
+            raise ValueError(f"source {i} is empty; a source needs at least one token")
     # the decoder context holds the start token plus the generated prefix
     max_len = min(cfg.seq_length, model.config.max_seq_len - 1)
     blocker = _blocker(cfg.no_repeat_ngram_size)

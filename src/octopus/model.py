@@ -42,6 +42,11 @@ class ModelConfig:
             raise ValueError("d_model must be divisible by n_heads")
         if not (isinstance(self.dropout_rate, numbers.Real) and 0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
+        # relative_position_bucket needs an exact region and a log region in each direction
+        if self.relpos_num_buckets % 2 or self.relpos_num_buckets < 4 \
+                or self.relpos_max_distance <= self.relpos_num_buckets // 2:
+            raise ValueError("relpos_num_buckets must be even and >= 4, "
+                             "and relpos_max_distance above half of it")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -88,33 +93,24 @@ def relative_position_bucket(
 def _bucket_matrix(
     q_len: int, k_len: int, bidirectional: bool, num_buckets: int, max_distance: int
 ) -> np.ndarray:
-    """Vectorized relative_position_bucket over a (q_len, k_len) grid."""
-    ctx = np.arange(q_len)[:, None]
-    mem = np.arange(k_len)[None, :]
-    rel = mem - ctx
-    bucket = np.zeros_like(rel)
-    n = num_buckets
-    if bidirectional:
-        n //= 2
-        bucket += (rel > 0).astype(np.int64) * n
-        rel = np.abs(rel)
-    else:
-        rel = -np.minimum(rel, 0)
-    max_exact = n // 2
-    is_small = rel < max_exact
-    with np.errstate(divide="ignore"):
-        large = max_exact + (
-            np.log(np.maximum(rel, 1) / max_exact)
-            / math.log(max_distance / max_exact)
-            * (n - max_exact)
-        ).astype(np.int64)
-    large = np.minimum(large, n - 1)
-    bucket += np.where(is_small, rel, large)
-    return bucket
+    """relative_position_bucket over a (q_len, k_len) grid, read from a table
+    of its value at every key-minus-query offset."""
+    table = np.array([relative_position_bucket(rel, bidirectional, num_buckets, max_distance)
+                      for rel in range(1 - q_len, k_len)], dtype=np.int64)
+    return table[np.arange(k_len)[None, :] - np.arange(q_len)[:, None] + q_len - 1]
+
+
+# each stack's block layout: the sublayers every block runs, in order, each
+# as x + dropout(sublayer(rms_norm(x)))
+BLOCKS = {"encoder": ("attn", "ff"), "decoder": ("attn", "cross", "ff")}
+
+
+def _layers(config: ModelConfig, stack: str) -> int:
+    return config.n_enc_layers if stack == "encoder" else config.n_dec_layers
 
 
 def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> dict[str, Tensor]:
-    """Seeded parameter init.
+    """Seeded parameter init, in `BLOCKS` order.
 
     Shared embedding ~ N(0, 1) (the tied readout rescales by 1/sqrt(d));
     projections ~ N(0, 1/sqrt(d_model)); norm gains start at 1; the
@@ -129,20 +125,18 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> dict[st
         params[name] = Tensor(array.astype(dtype), requires_grad=True, dtype=dtype)
 
     param("shared.embedding", rng.standard_normal((config.vocab_size, d)))
-    for stack, n_layers in (("encoder", config.n_enc_layers), ("decoder", config.n_dec_layers)):
+    for stack, sublayers in BLOCKS.items():
         param(f"{stack}.relpos", np.zeros((h, config.relpos_num_buckets)))
-        for i in range(n_layers):
-            base = f"{stack}.block{i}"
-            param(f"{base}.attn.norm", np.ones(d))
-            for w in ("wq", "wk", "wv", "wo"):
-                param(f"{base}.attn.{w}", rng.standard_normal((d, d)) * std)
-            if stack == "decoder":
-                param(f"{base}.cross.norm", np.ones(d))
-                for w in ("wq", "wk", "wv", "wo"):
-                    param(f"{base}.cross.{w}", rng.standard_normal((d, d)) * std)
-            param(f"{base}.ff.norm", np.ones(d))
-            param(f"{base}.ff.wi", rng.standard_normal((d, dff)) * std)
-            param(f"{base}.ff.wo", rng.standard_normal((dff, d)) * std)
+        for i in range(_layers(config, stack)):
+            for sub in sublayers:
+                base = f"{stack}.block{i}.{sub}"
+                param(f"{base}.norm", np.ones(d))
+                if sub == "ff":
+                    param(f"{base}.wi", rng.standard_normal((d, dff)) * std)
+                    param(f"{base}.wo", rng.standard_normal((dff, d)) * std)
+                else:
+                    for w in ("wq", "wk", "wv", "wo"):
+                        param(f"{base}.{w}", rng.standard_normal((d, d)) * std)
         param(f"{stack}.final_norm", np.ones(d))
     return params
 
@@ -327,16 +321,16 @@ class Seq2SeqTransformer:
         p = self.params[name]
         return p if ops is T else p.data
 
-    def _relpos_bias(self, ops, stack: str, q_start: int, q_len: int, k_len: int):
-        """Bias for query positions q_start..q_start+q_len over keys 0..k_len,
-        sliced from one bucket matrix per stack."""
+    def _relpos_bias(self, ops, stack: str, start: int, end: int):
+        """Bias for query positions start..end over keys 0..end, sliced from
+        one bucket matrix per stack."""
         if stack not in self._buckets:
             n = self.config.max_seq_len
             self._buckets[stack] = _bucket_matrix(
                 n, n, stack == "encoder",
                 self.config.relpos_num_buckets, self.config.relpos_max_distance,
             )
-        buckets = self._buckets[stack][q_start:q_start + q_len, :k_len]
+        buckets = self._buckets[stack][start:end, :end]
         table = self._param(ops, f"{stack}.relpos")  # (H, num_buckets)
         by_bucket = ops.transpose(table, (1, 0))  # (num_buckets, H)
         bias = ops.take(by_bucket, buckets)  # (q, k, H)
@@ -391,6 +385,30 @@ class Seq2SeqTransformer:
         neg = np.array(-np.inf, dtype=dtype)
         return np.where(attn_mask[:, None, None, :], dtype.type(0.0), neg)
 
+    def _stack(self, ops, stack: str, ids: np.ndarray, self_mask: np.ndarray | None,
+               start: int = 0, enc_hidden=None, cross_mask: np.ndarray | None = None,
+               rng: np.random.Generator | None = None, cache: DecoderCache | None = None):
+        """Embed ids, the stack's positions start.., and run its blocks as
+        `BLOCKS` lays them out: self-attention under self_mask, cross-attention
+        into enc_hidden under cross_mask, and the feed-forward. Then the final
+        norm; dropout follows the embedding, each sublayer and the final norm."""
+        x = self._dropout(ops.take(self._param(ops, "shared.embedding"), ids), rng)
+        n_layers, end = _layers(self.config, stack), start + ids.shape[1]
+        bias = self._relpos_bias(ops, stack, start, end) if n_layers else None
+        for i in range(n_layers):
+            for sub in BLOCKS[stack]:
+                base = f"{stack}.block{i}.{sub}"
+                h = ops.rms_norm(x, self._param(ops, f"{base}.norm"))
+                if sub == "ff":
+                    y = self._ff(ops, h, base, rng)
+                elif sub == "attn":
+                    y = self._attention(ops, h, h, base, self_mask, bias, rng, cache)
+                else:
+                    y = self._attention(ops, h, enc_hidden, base, cross_mask, None, rng, cache)
+                x = ops.add(x, self._dropout(y, rng))
+        x = ops.rms_norm(x, self._param(ops, f"{stack}.final_norm"))
+        return self._dropout(x, rng)
+
     def encode(self, ids, attn_mask, rng: np.random.Generator | None = None) -> Tensor:
         """Contextual hidden states, shape (B, L, d_model).
 
@@ -398,23 +416,10 @@ class Seq2SeqTransformer:
         -inf attention logits so they cannot influence real positions.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        mask = np.asarray(attn_mask, dtype=bool)
         self._check_ids(ids, "encoder ids")
-        cfg = self.config
-        x = T.take(self.params["shared.embedding"], ids)
-        x = self._dropout(x, rng)
-        mask_add = self._key_mask_add(mask, x.data.dtype)
-        length = ids.shape[1]
-        bias = self._relpos_bias(T, "encoder", 0, length, length) if cfg.n_enc_layers else None
-        for i in range(cfg.n_enc_layers):
-            base = f"encoder.block{i}"
-            h = T.rms_norm(x, self.params[f"{base}.attn.norm"])
-            x = T.add(x, self._dropout(
-                self._attention(T, h, h, f"{base}.attn", mask_add, bias, rng), rng))
-            h = T.rms_norm(x, self.params[f"{base}.ff.norm"])
-            x = T.add(x, self._dropout(self._ff(T, h, f"{base}.ff", rng), rng))
-        x = T.rms_norm(x, self.params["encoder.final_norm"])
-        return self._dropout(x, rng)
+        dt = self.params["shared.embedding"].data.dtype
+        mask_add = self._key_mask_add(np.asarray(attn_mask, dtype=bool), dt)
+        return self._stack(T, "encoder", ids, mask_add, rng=rng)
 
     def decode_logits(self, enc_hidden, enc_mask, dec_ids, cache: DecoderCache | None = None,
                       rng: np.random.Generator | None = None) -> Tensor:
@@ -445,31 +450,17 @@ class Seq2SeqTransformer:
         end = start + t_len
         if end > cfg.max_seq_len:
             raise ValueError(f"decoder length {end} exceeds max_seq_len {cfg.max_seq_len}")
-        emb = self._param(ops, "shared.embedding")
-        x = ops.take(emb, dec_ids)
-        x = self._dropout(x, rng)
-        dt = x.dtype
+        dt = self.params["shared.embedding"].data.dtype
         # a single query row may see every key, so it needs no causal mask
         causal = (np.triu(np.full((1, 1, t_len, end), -np.inf, dtype=dt), k=1 + start)
                   if t_len > 1 else None)
         cross_mask = (self._key_mask_add(np.asarray(enc_mask, dtype=bool), dt)
                       if cache is None else None)
-        bias = self._relpos_bias(ops, "decoder", start, t_len, end) if cfg.n_dec_layers else None
-        for i in range(cfg.n_dec_layers):
-            base = f"decoder.block{i}"
-            h = ops.rms_norm(x, self._param(ops, f"{base}.attn.norm"))
-            x = ops.add(x, self._dropout(
-                self._attention(ops, h, h, f"{base}.attn", causal, bias, rng, cache), rng))
-            h = ops.rms_norm(x, self._param(ops, f"{base}.cross.norm"))
-            x = ops.add(x, self._dropout(self._attention(
-                ops, h, enc_hidden, f"{base}.cross", cross_mask, None, rng, cache), rng))
-            h = ops.rms_norm(x, self._param(ops, f"{base}.ff.norm"))
-            x = ops.add(x, self._dropout(self._ff(ops, h, f"{base}.ff", rng), rng))
+        x = self._stack(ops, "decoder", dec_ids, causal, start, enc_hidden, cross_mask, rng, cache)
         if cache is not None:
             cache.length = end
-        x = ops.rms_norm(x, self._param(ops, "decoder.final_norm"))
-        x = self._dropout(x, rng)
         x = ops.mul(x, 1.0 / math.sqrt(cfg.d_model))
+        emb = self._param(ops, "shared.embedding")
         logits = ops.matmul(x, ops.transpose(emb, (1, 0)))
         return logits if cache is None else Tensor(logits, dtype=logits.dtype)
 

@@ -39,32 +39,24 @@ class TrainConfig:
     strategy: str
     learning_rate: float = 1e-3
     batch_size: int = 32
-    max_steps: int | None = None
-    max_epochs: int | None = None
+    max_steps: int | None = None  # required
     eval_every: int = 0  # 0: checkpoint only at the end
     seed: int = 0
     task_weights: dict[str, float] | None = None  # None: proportional to pool size; keys canonical
     labeled_fraction: float = 0.5  # joint only: share of labeled steps
-    corruption_rate: float = 0.15
-    mean_span_length: float = 3.0
     out_dir: str | Path | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if (self.max_steps is None) == (self.max_epochs is None):
-            raise ValueError("set exactly one of max_steps / max_epochs")
-        if self.max_epochs is not None and self.strategy != "single_task":
-            raise ValueError("epoch-based training is only for single_task finetuning")
-        if (self.max_steps if self.max_epochs is None else self.max_epochs) < 1:
-            raise ValueError("max_steps / max_epochs must be at least 1")
+        if self.max_steps is None or self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.eval_every < 0 or self.seed < 0:
             raise ValueError("eval_every and seed must be non-negative")
-        DenoisingConfig(self.corruption_rate, self.mean_span_length)  # raises on bad values
         if not 0.0 <= self.labeled_fraction <= 1.0:
             raise ValueError("labeled_fraction must be in [0, 1]")
         if self.task_weights is not None:
@@ -207,7 +199,7 @@ def evaluate_dev(model: Seq2SeqTransformer, vocab: Vocabulary, dev: list[Example
 def _denoise_batch(texts: list[str], vocab: Vocabulary, rng: np.random.Generator,
                    cfg: TrainConfig, max_len: int) -> Seq2SeqBatch:
     idx = rng.integers(0, len(texts), size=cfg.batch_size)
-    dn = DenoisingConfig(cfg.corruption_rate, cfg.mean_span_length, rng=rng)
+    dn = DenoisingConfig(rng=rng)
     pairs = [corrupt_spans(vocab.encode(texts[i])[:max_len], vocab, dn) for i in idx]
     return batch_from_ids(pairs, vocab, max_len)
 
@@ -249,17 +241,6 @@ class _Trainer:
             raise ValueError(f"{self.cfg.strategy} training with labeled steps "
                              "needs non-empty labeled sets")
 
-    # step counts -----------------------------------------------------
-
-    def steps_per_epoch(self) -> int:
-        n = len(self.data.tasks[0].train)
-        return max(1, math.ceil(n / self.cfg.batch_size))
-
-    def total_steps(self) -> int:
-        if self.cfg.max_steps is not None:
-            return self.cfg.max_steps
-        return self.cfg.max_epochs * self.steps_per_epoch()
-
     # batches -----------------------------------------------------------
 
     def build_batch(self, step: int) -> Seq2SeqBatch:
@@ -282,7 +263,7 @@ class _Trainer:
 
     def _single_task_batch(self, step: int) -> Seq2SeqBatch:
         td, size = self.data.tasks[0], self.cfg.batch_size
-        epoch, pos = divmod(step, self.steps_per_epoch())
+        epoch, pos = divmod(step, math.ceil(len(td.train) / size))
         perm = np.random.default_rng((self.cfg.seed, _EPOCH, epoch)).permutation(len(td.train))
         idx = perm[pos * size:(pos + 1) * size]
         return self._labeled_batch([td.train[i] for i in idx])
@@ -309,7 +290,7 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
         out_dir.mkdir(parents=True, exist_ok=True)
         metas = _cut_back(out_dir, start_step)
 
-    total = runner.total_steps()
+    total = cfg.max_steps
     losses: list[float] = []
     window: list[float] = []
     for step in range(start_step, total):

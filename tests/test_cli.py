@@ -210,6 +210,31 @@ def test_run_batch_unwritable_logging_file_exits_1(checkpoint, tmp_path):
     assert out.getvalue() == ""
 
 
+def test_repl_writes_logging_file(checkpoint, tmp_path):
+    # one config line once the tasks are read, one done line per decoded source
+    log = tmp_path / "repl.log"
+    args = parse_args(["--model-path", str(checkpoint), "-s", "6", "-m", "greedy",
+                       "-l", str(log)], mode="interactive")
+    stdin = io.StringIO("diacritize, paraphrase\nab\n" + "a" * 200 + "\ncd\nq\n")
+    assert repl_loop(args, stdin=stdin, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ("config\tprefix=diacritize,paraphrase\tmethod=greedy\tnbeam=5\t"
+                        "max_outputs=3\tseq_length=6")
+    assert len(lines) == 3  # the over-long source decodes nothing
+    for line in lines[1:]:
+        kind, inputs, ms = line.split("\t")
+        assert (kind, inputs) == ("done", "inputs=1") and int(ms.split("=")[1]) >= 0
+
+
+def test_repl_unwritable_logging_file_exits_1(checkpoint, tmp_path):
+    args = parse_args(["--model-path", str(checkpoint), "-s", "6",
+                       "-l", str(tmp_path / "no" / "such" / "dir" / "log.txt")], mode="interactive")
+    out, err = io.StringIO(), io.StringIO()
+    assert repl_loop(args, stdin=io.StringIO("diacritize\nab\nq\n"), stdout=out, stderr=err) == 1
+    assert "error: cannot open logging file" in err.getvalue()
+    assert "target" not in out.getvalue()
+
+
 MIXED_LINES = ["abc", "f", "edcba", "ab", "ghi", "j", "fedcb", "hh", "cab", "xyz", "a"]
 
 

@@ -367,3 +367,12 @@ def test_generate_batch_rejects_batch_size_below_one(tiny_setup):
 def test_generate_batch_no_sources(tiny_setup):
     model, vocab = tiny_setup
     assert generate_batch(model, vocab, [], DecodeConfig()) == []
+
+
+def test_empty_source_is_named_before_encoding(tiny_setup, monkeypatch):
+    model, vocab = tiny_setup
+    monkeypatch.setattr(model, "encode", lambda *a: pytest.fail("encoded an empty source"))
+    with pytest.raises(ValueError, match="source 2 is empty"):
+        generate_batch(model, vocab, [[3, 4], [5], [], [6]], DecodeConfig(method="greedy"))
+    with pytest.raises(ValueError, match="source 0 is empty"):
+        generate(model, vocab, [], DecodeConfig())

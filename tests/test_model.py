@@ -6,6 +6,7 @@ import pytest
 from octopus import ModelConfig, Seq2SeqTransformer
 from octopus.model import (
     DecoderCache,
+    init_params,
     load_checkpoint,
     relative_position_bucket,
     save_checkpoint,
@@ -24,6 +25,39 @@ def test_config_validation():
         ModelConfig(vocab_size=10, dropout_rate=1.0)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=0)
+    # relative_position_bucket divides by zero or rejects these bucket settings
+    for buckets, distance in ((7, 128), (2, 128), (32, 16)):
+        with pytest.raises(ValueError, match="relpos_num_buckets"):
+            ModelConfig(vocab_size=10, relpos_num_buckets=buckets, relpos_max_distance=distance)
+
+
+def test_init_params_layout_is_pinned():
+    # names in checkpoint order and values at fixed positions, so a change to
+    # the block layout code cannot reorder rng draws or checkpoint entries unseen
+    cfg = ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=16, n_enc_layers=1,
+                      n_dec_layers=1, relpos_num_buckets=8, relpos_max_distance=16,
+                      max_seq_len=16)
+    params = init_params(cfg, seed=0)
+    blocks = {"encoder": ("attn", "ff"), "decoder": ("attn", "cross", "ff")}
+    weights = {"attn": ("wq", "wk", "wv", "wo"), "cross": ("wq", "wk", "wv", "wo"),
+               "ff": ("wi", "wo")}
+    names = ["shared.embedding"]
+    for stack, sublayers in blocks.items():
+        names.append(f"{stack}.relpos")
+        for sub in sublayers:
+            names += [f"{stack}.block0.{sub}.{w}" for w in ("norm", *weights[sub])]
+        names.append(f"{stack}.final_norm")
+    assert list(params) == names
+    expected = {
+        ("shared.embedding", (11, 7)): 1.0314531326293945,
+        ("encoder.block0.attn.wq", (0, 0)): 0.05692548304796219,
+        ("encoder.block0.ff.wi", (2, 9)): -0.20542603731155396,
+        ("decoder.block0.attn.wo", (7, 7)): 0.03179450333118439,
+        ("decoder.block0.cross.wv", (3, 1)): 0.1322861760854721,
+        ("decoder.block0.ff.wo", (15, 7)): 0.06391464918851852,
+    }
+    for (name, idx), value in expected.items():
+        assert float(params[name].data[idx]) == value, name
 
 
 def test_config_json_round_trip():

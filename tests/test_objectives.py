@@ -46,6 +46,13 @@ def test_over_corruption_errors(vocab):
         corrupt_spans(_tokens(vocab, 8, np.random.default_rng(3)), vocab, cfg)
 
 
+@pytest.mark.parametrize("field", [dict(corruption_rate=0.0), dict(corruption_rate=1.5),
+                                   dict(mean_span_length=0.5)])
+def test_config_rejects_bad_values(field):
+    with pytest.raises(ValueError):
+        DenoisingConfig(**field)
+
+
 def test_empty_sequence_errors(vocab):
     with pytest.raises(ValueError):
         corrupt_spans([], vocab, DenoisingConfig(rng=np.random.default_rng(0)))

@@ -41,23 +41,15 @@ def _mini_setup(n_examples=60, seed=0):
 def test_config_requires_exactly_one_budget():
     with pytest.raises(ValueError):
         TrainConfig(strategy="pretrain")
-    with pytest.raises(ValueError):
-        TrainConfig(strategy="pretrain", max_steps=5, max_epochs=2)
-    with pytest.raises(ValueError):
-        TrainConfig(strategy="pretrain", max_epochs=2)  # epochs only for single_task
 
 
 @pytest.mark.parametrize("field", [
     dict(max_steps=0),
-    dict(max_steps=None, max_epochs=0),
     dict(eval_every=-2),
     dict(seed=-1),
     dict(learning_rate=math.nan),
     dict(learning_rate=math.inf),
-    dict(corruption_rate=0.0),
-    dict(mean_span_length=0.5),
-], ids=["max_steps", "max_epochs", "eval_every", "seed", "lr_nan", "lr_inf",
-        "corruption_rate", "mean_span_length"])
+], ids=["max_steps", "eval_every", "seed", "lr_nan", "lr_inf"])
 def test_config_rejects_bad_values(field):
     with pytest.raises(ValueError):
         TrainConfig(**{"strategy": "single_task", "max_steps": 5, **field})
@@ -176,11 +168,26 @@ def test_single_task_runs_and_logs(tmp_path):
     assert step == "0" and float(loss) > 0 and int(ms) >= 0
 
 
-def test_epoch_budget_counts_steps():
+def test_single_task_walks_epochs_by_step(monkeypatch):
+    # 20 examples in batches of 8: steps 0-2 are one epoch, 3-5 the next,
+    # and each epoch trains on every example once
+    from octopus import trainer
+
     examples, vocab, cfg, model = _mini_setup(n_examples=20)
-    tc = TrainConfig(strategy="single_task", batch_size=8, max_epochs=2, seed=3)
-    result = train(model, vocab, tc, Datasets(tasks=[TaskData("translitrate_ar2en", examples)]))
-    assert len(result.losses) == 2 * math.ceil(20 / 8)
+    batches, make_batch = [], trainer.make_batch
+
+    def recorded(pairs, *args):
+        batches.append([src for src, _ in pairs])
+        return make_batch(pairs, *args)
+
+    monkeypatch.setattr(trainer, "make_batch", recorded)
+    tc = TrainConfig(strategy="single_task", batch_size=8, max_steps=6, seed=3)
+    train(model, vocab, tc, Datasets(tasks=[TaskData("translitrate_ar2en", examples)]))
+    assert [len(b) for b in batches] == [8, 8, 4] * 2
+    everything = sorted(ex.model_source for ex in examples)
+    for epoch in (batches[:3], batches[3:]):
+        assert sorted(src for b in epoch for src in b) == everything
+    assert batches[:3] != batches[3:]
 
 
 def test_identical_seeds_identical_runs(tmp_path):
