@@ -12,7 +12,7 @@ _EXPORTS = {
     "metrics": ("EditSet", "MetricReport", "bleu", "cer", "diacritization_fidelity",
                 "m2_f05", "macro_scores", "rouge_l", "token_f1"),
     "model": ("ModelConfig", "Seq2SeqTransformer", "relative_position_bucket"),
-    "objectives": ("DenoisingConfig", "Seq2SeqBatch", "corrupt_spans", "make_batch", "splice"),
+    "objectives": ("Seq2SeqBatch", "corrupt_spans", "make_batch", "splice"),
     "optim": ("AdamState", "adam_step"),
     "tasks": ("Example", "TaskSpec", "format_input", "load_jsonl", "synth_cipher",
               "synth_devowel"),

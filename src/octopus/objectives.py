@@ -4,66 +4,50 @@ teacher-forced sequence-to-sequence batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .vocab import Vocabulary
 
 
-@dataclass
-class DenoisingConfig:
-    """Span-corruption knobs.
-
-    corruption_rate is the target masked fraction; mean_span_length sets
-    how many sentinels that fraction is split across, at least one.
-    """
-
-    corruption_rate: float = 0.15
-    mean_span_length: float = 3.0
-    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-
-    def __post_init__(self):
-        if not 0.0 < self.corruption_rate <= 1.0:
-            raise ValueError("corruption_rate must be in (0, 1]")
-        if self.mean_span_length < 1.0:
-            raise ValueError("mean_span_length must be >= 1")
+# T5's span corruption (Raffel et al. 2020): mask 15% of the tokens in
+# spans of mean length 3. At this rate every length fits as non-adjacent spans.
+CORRUPTION_RATE = 0.15
+MEAN_SPAN_LENGTH = 3.0
 
 
-class OverCorruptionError(ValueError):
-    """The requested mask budget cannot be placed as non-adjacent spans."""
+def check_sentinels(vocab: Vocabulary):
+    if vocab.num_sentinels == 0:
+        raise ValueError("the vocabulary has no sentinel tokens, which span corruption needs")
 
 
 def corrupt_spans(
-    tokens: list[int], vocab: Vocabulary, cfg: DenoisingConfig
+    tokens: list[int], vocab: Vocabulary, rng: np.random.Generator
 ) -> tuple[list[int], list[int]]:
     """Replace random non-adjacent token spans with sentinel ids.
 
-    Returns (input ids, target ids) where the input has span i collapsed
-    to SENTINEL_i (left to right) and the target lists each sentinel
-    followed by the tokens it hides, ending with eos.
+    Masks CORRUPTION_RATE of the tokens in at least one span and at most
+    one span per sentinel. Returns (input ids, target ids) where the input
+    has span i collapsed to SENTINEL_i (left to right) and the target lists
+    each sentinel followed by the tokens it hides, ending with eos.
     """
     if not tokens:
         raise ValueError("cannot corrupt an empty sequence")
     if any(vocab.is_sentinel(t) for t in tokens):
         raise ValueError("input tokens may not contain sentinel ids")
+    check_sentinels(vocab)
 
     n = len(tokens)
-    n_spans = min(max(1, round(cfg.corruption_rate * n / cfg.mean_span_length)),
-                  vocab.num_sentinels)
-    budget = max(n_spans, round(cfg.corruption_rate * n))
-    # non-adjacent spans need a one-token gap between consecutive spans
-    if budget > n - (n_spans - 1):
-        raise OverCorruptionError(
-            f"span budget {budget} with {n_spans} spans does not fit in {n} tokens"
-        )
+    n_spans = min(max(1, round(CORRUPTION_RATE * n / MEAN_SPAN_LENGTH)), vocab.num_sentinels)
+    budget = max(n_spans, round(CORRUPTION_RATE * n))
 
     # split the budget into n_spans positive lengths
     lengths = [1] * n_spans
     for _ in range(budget - n_spans):
-        lengths[int(cfg.rng.integers(n_spans))] += 1
+        lengths[int(rng.integers(n_spans))] += 1
 
-    starts = _place_spans(n, lengths, cfg.rng)
+    starts = _place_spans(n, lengths, rng)
 
     input_ids: list[int] = []
     target_ids: list[int] = []
@@ -88,8 +72,6 @@ def _place_spans(n: int, lengths: list[int], rng: np.random.Generator) -> list[i
     """
     k = len(lengths)
     slack = n - sum(lengths) - (k - 1)
-    if slack < 0:
-        raise OverCorruptionError(f"{k} non-adjacent spans do not fit in {n} tokens")
     if slack == 0:
         cuts = np.arange(k)
     else:
@@ -207,7 +189,5 @@ def make_batch(
     pairs: list[tuple[str, str]], vocab: Vocabulary, max_len: int
 ) -> Seq2SeqBatch:
     """Encode (source text, target text) pairs and pad into a batch."""
-    if not pairs:
-        raise ValueError("cannot build a batch from no examples")
     encoded = [(vocab.encode(s), vocab.encode(t)) for s, t in pairs]
     return batch_from_ids(encoded, vocab, max_len)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .decoding import DecodeConfig, generate_batch
 from .metrics import EditSet, score_task
-from .model import Seq2SeqTransformer, load_checkpoint, save_checkpoint
-from .objectives import DenoisingConfig, Seq2SeqBatch, batch_from_ids, corrupt_spans, make_batch
+from .model import ModelConfig, Seq2SeqTransformer, load_checkpoint, save_checkpoint
+from .objectives import Seq2SeqBatch, batch_from_ids, check_sentinels, corrupt_spans, make_batch
 from .optim import AdamState, adam_step
 from .tasks import REGISTRY, Example, TaskSpec, normalize_prefix
 from .vocab import Vocabulary
@@ -110,6 +110,7 @@ class TaskData:
                 if ex.task != self.task:
                     raise ValueError(f"{split} example {i} of the {self.task!r} set "
                                      f"is of task {ex.task!r}")
+        _gold_edit_sets(REGISTRY[self.task], self.dev or ())
 
 
 @dataclass
@@ -183,6 +184,7 @@ def evaluate_dev(model: Seq2SeqTransformer, vocab: Vocabulary, dev: list[Example
     """
     if not dev:
         raise ValueError("dev set is empty")
+    golds = _gold_edit_sets(task, dev)
     # cut like training sources (`batch_from_ids`), so a long one cannot crash a checkpoint
     sources = [vocab.encode(ex.model_source)[:model.config.max_seq_len] for ex in dev]
     cfg = decode_cfg or DecodeConfig(method="greedy")
@@ -190,18 +192,27 @@ def evaluate_dev(model: Seq2SeqTransformer, vocab: Vocabulary, dev: list[Example
         cfg = replace(cfg, seq_length=max(len(vocab.encode(ex.target)) for ex in dev) + 8)
     hyps = [vocab.decode(h[0].ids) for h in generate_batch(model, vocab, sources, cfg, 64)]
     return score_task(task.metric, hyps, [ex.target for ex in dev],
-                      sources=[ex.source for ex in dev],
-                      gold_edits=[EditSet(ex.gold_edits or []) for ex in dev])
+                      sources=[ex.source for ex in dev], gold_edits=golds)
+
+
+def _gold_edit_sets(task: TaskSpec, dev) -> list[EditSet] | None:
+    """The dev examples' gold edits when the task's metric scores edits. One
+    without any is an error: an empty set would make the source the answer."""
+    if task.metric != "f05_m2":
+        return None
+    for i, ex in enumerate(dev):
+        if ex.gold_edits is None:
+            raise ValueError(f"dev example {i} of the {task.prefix!r} set has no gold edits")
+    return [EditSet(ex.gold_edits) for ex in dev]
 
 
 # ---- batch builders ----
 
-def _denoise_batch(texts: list[str], vocab: Vocabulary, rng: np.random.Generator,
-                   cfg: TrainConfig, max_len: int) -> Seq2SeqBatch:
-    idx = rng.integers(0, len(texts), size=cfg.batch_size)
-    dn = DenoisingConfig(rng=rng)
-    pairs = [corrupt_spans(vocab.encode(texts[i])[:max_len], vocab, dn) for i in idx]
-    return batch_from_ids(pairs, vocab, max_len)
+def _denoise_batch(text_ids: list[list[int]], vocab: Vocabulary, rng: np.random.Generator,
+                   batch_size: int, max_len: int) -> Seq2SeqBatch:
+    """Span-corrupt batch_size texts drawn from the encoded, cut texts."""
+    idx = rng.integers(0, len(text_ids), size=batch_size)
+    return batch_from_ids([corrupt_spans(text_ids[i], vocab, rng) for i in idx], vocab, max_len)
 
 
 class _Trainer:
@@ -214,6 +225,7 @@ class _Trainer:
         self.max_len = model.config.max_seq_len
         # share of labeled steps: pretrain and multitask are the joint mix at 0 and 1
         self.labeled = {"pretrain": 0.0, "multitask": 1.0}.get(cfg.strategy, cfg.labeled_fraction)
+        self.text_ids: list[list[int]] = []  # each unlabeled text encoded once, cut to max_len
         self._validate_data()
         self.mixer = None
         if cfg.strategy != "single_task" and self.labeled > 0:
@@ -234,9 +246,12 @@ class _Trainer:
             if not data.texts:
                 raise ValueError(f"{self.cfg.strategy} training with unlabeled steps "
                                  "needs unlabeled texts")
+            check_sentinels(self.vocab)
             for i, text in enumerate(data.texts):
-                if not self.vocab.encode(text):
+                ids = self.vocab.encode(text)[:self.max_len]
+                if not ids:
                     raise ValueError(f"unlabeled text {i} encodes to no tokens")
+                self.text_ids.append(ids)
         if self.labeled > 0 and (not data.tasks or any(not td.train for td in data.tasks)):
             raise ValueError(f"{self.cfg.strategy} training with labeled steps "
                              "needs non-empty labeled sets")
@@ -255,7 +270,7 @@ class _Trainer:
         branch = np.random.default_rng((cfg.seed, step, _BRANCH))
         if branch.random() < self.labeled:
             return self._labeled_batch(sample_task_batch(self.mixer, rng)[1])
-        return _denoise_batch(self.data.texts, self.vocab, rng, cfg, self.max_len)
+        return _denoise_batch(self.text_ids, self.vocab, rng, cfg.batch_size, self.max_len)
 
     def _labeled_batch(self, examples: list[Example]) -> Seq2SeqBatch:
         return make_batch([(ex.model_source, ex.target) for ex in examples], self.vocab,
@@ -282,7 +297,7 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
     opt = AdamState.init(model.parameters(), cfg.learning_rate)
     start_step = 0
     if resume_from is not None:
-        start_step = _load_train_state(Path(resume_from), model, opt)
+        start_step = _load_train_state(Path(resume_from), model, vocab, opt)
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     metas: list[CheckpointMeta] = []
@@ -423,38 +438,40 @@ def train_over_seeds(make_model, vocab: Vocabulary, cfg: TrainConfig, data: Data
     if not seeds:
         raise ValueError("need at least one seed")
     results = []
-    scores = []
     for seed in seeds:
-        run_cfg = TrainConfig(**{**cfg.__dict__, "seed": seed,
-                                 "out_dir": None if cfg.out_dir is None
-                                 else str(Path(cfg.out_dir) / f"seed_{seed}")})
-        result = train(make_model(seed), vocab, run_cfg, data)
-        results.append(result)
-        if result.best_index is not None:
-            scores.append(result.metas[result.best_index].score)
-    summary = {
+        out_dir = None if cfg.out_dir is None else str(Path(cfg.out_dir) / f"seed_{seed}")
+        results.append(train(make_model(seed), vocab, replace(cfg, seed=seed, out_dir=out_dir),
+                             data))
+    scores = [r.metas[r.best_index].score for r in results if r.best_index is not None]
+    return {
         "seeds": list(seeds),
         "mean_best_score": float(np.mean(scores)) if scores else None,
         "std_best_score": float(np.std(scores)) if scores else None,
         "results": results,
     }
-    return summary
 
 
 def _save_train_state(ckpt_dir: Path, opt: AdamState, step: int):
-    arrays = {}
-    for name, m in opt.m.items():
-        arrays[f"adam.m.{name}"] = m
-    for name, v in opt.v.items():
-        arrays[f"adam.v.{name}"] = v
+    arrays = {f"adam.{kind}.{name}": moment for kind, moments in (("m", opt.m), ("v", opt.v))
+              for name, moment in moments.items()}
     save_checkpoint(ckpt_dir / "train_state.octo", arrays)
     meta = {"step": step, "adam_step": opt.step, "learning_rate": opt.learning_rate}
     (ckpt_dir / "train_state.json").write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
 
 
-def _load_train_state(ckpt_dir: Path, model: Seq2SeqTransformer, opt: AdamState) -> int:
-    """Load the model and Adam state of a checkpoint; ValueError naming the
-    checkpoint and the entry when one is missing or mis-shaped."""
+def _load_train_state(ckpt_dir: Path, model: Seq2SeqTransformer, vocab: Vocabulary,
+                      opt: AdamState) -> int:
+    """Load the model and Adam state of a checkpoint written with this
+    model config and vocabulary; ValueError naming the checkpoint and the
+    first config field that differs, the vocabulary, or the train state
+    entry that is missing or mis-shaped."""
+    saved = asdict(ModelConfig.from_json((ckpt_dir / "config.json").read_text(encoding="utf-8")))
+    for name, value in asdict(model.config).items():
+        if saved[name] != value:
+            raise ValueError(f"{ckpt_dir}: config.json has {name}={saved[name]!r}, "
+                             f"but the model has {value!r}")
+    if vars(Vocabulary.load(ckpt_dir / "vocab.txt")) != vars(vocab):  # tokens, ids, sentinels
+        raise ValueError(f"{ckpt_dir}: vocab.txt is not the run's vocabulary")
     model.load(ckpt_dir / "model.octo")
     meta = json.loads((ckpt_dir / "train_state.json").read_text(encoding="utf-8"))
     for key in ("step", "adam_step"):

@@ -16,7 +16,6 @@ import pytest
 
 from octopus import (
     Datasets,
-    DenoisingConfig,
     ModelConfig,
     Seq2SeqTransformer,
     TaskData,
@@ -115,15 +114,13 @@ def test_criterion_2_span_corruption_suite():
     for trial in range(10_000):
         n = int(rng.integers(1, 80))
         tokens = [int(t) for t in rng.integers(lo, hi, size=n)]
-        cfg = DenoisingConfig(rng=np.random.default_rng(trial))
-        inp, tgt = corrupt_spans(tokens, vocab, cfg)
+        inp, tgt = corrupt_spans(tokens, vocab, np.random.default_rng(trial))
         assert splice(inp, tgt, vocab) == tokens
 
     tokens = [int(t) for t in rng.integers(lo, hi, size=512)]
     fractions = []
     for seed in range(1000):
-        cfg = DenoisingConfig(rng=np.random.default_rng(seed))
-        inp, _ = corrupt_spans(tokens, vocab, cfg)
+        inp, _ = corrupt_spans(tokens, vocab, np.random.default_rng(seed))
         n_sent = sum(vocab.is_sentinel(t) for t in inp)
         fractions.append((512 - (len(inp) - n_sent)) / 512)
     mean = float(np.mean(fractions))

@@ -356,7 +356,7 @@ def test_package_exports_resolve():
 
     names = """DecodeConfig Hypothesis beam_search block_repeat_ngrams generate sample_step
         EditSet MetricReport bleu cer diacritization_fidelity m2_f05 macro_scores rouge_l
-        token_f1 ModelConfig Seq2SeqTransformer relative_position_bucket DenoisingConfig
+        token_f1 ModelConfig Seq2SeqTransformer relative_position_bucket
         Seq2SeqBatch corrupt_spans make_batch splice AdamState adam_step Example TaskSpec
         format_input load_jsonl synth_cipher synth_devowel Tensor backward cross_entropy
         matmul no_grad rms_norm softmax CheckpointMeta Datasets TaskData TaskMixer

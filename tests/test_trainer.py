@@ -802,3 +802,97 @@ def test_unlabeled_text_without_tokens_is_named_before_step_0(monkeypatch, strat
     data = Datasets(texts=texts, tasks=[TaskData("translitrate_ar2en", examples)])
     with pytest.raises(ValueError, match="unlabeled text 3 encodes to no tokens"):
         train(model, vocab, TrainConfig(strategy=strategy, batch_size=4, max_steps=20), data)
+
+
+def test_pretraining_encodes_each_text_once(monkeypatch):
+    from octopus.vocab import Vocabulary
+
+    examples, vocab, cfg, model = _mini_setup()
+    texts = [ex.target for ex in examples[:10]]
+    seen = []
+    encode = Vocabulary.encode
+
+    def counted(self, text):
+        seen.append(text)
+        return encode(self, text)
+
+    monkeypatch.setattr(Vocabulary, "encode", counted)
+    train(model, vocab, TrainConfig(strategy="pretrain", batch_size=8, max_steps=6),
+          Datasets(texts=texts))
+    assert sorted(seen) == sorted(texts)
+
+
+@pytest.mark.parametrize("strategy", ["pretrain", "joint"])
+def test_denoising_without_sentinels_is_rejected_before_step_0(monkeypatch, strategy):
+    # otherwise numpy fails at the first denoising step, and a text of 3
+    # tokens or fewer gets a target with nothing masked
+    from octopus import trainer
+
+    monkeypatch.setattr(trainer, "adam_step", _no_step)
+    examples, _, _, _ = _mini_setup()
+    vocab = build_vocab([ex.model_source + " " + ex.target for ex in examples], sentinels=0)
+    cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=16, n_heads=2, d_ff=32,
+                      n_enc_layers=1, n_dec_layers=1, max_seq_len=64)
+    data = Datasets(texts=[ex.target for ex in examples],
+                    tasks=[TaskData("translitrate_ar2en", examples)])
+    with pytest.raises(ValueError, match="the vocabulary has no sentinel tokens"):
+        train(Seq2SeqTransformer(cfg, seed=1), vocab,
+              TrainConfig(strategy=strategy, batch_size=4, max_steps=20), data)
+    # a run that draws no denoising step needs no sentinels
+    monkeypatch.undo()
+    train(Seq2SeqTransformer(cfg, seed=1), vocab,
+          TrainConfig(strategy="multitask", batch_size=4, max_steps=1), data)
+
+
+def test_grammar_dev_example_without_gold_edits_is_an_error():
+    # scored against an empty edit set, a copy of the source beats the correction
+    from octopus.metrics import EditSet, m2_f05
+    from octopus.tasks import REGISTRY
+
+    source, target = "the cat cat runs", "the cat runs"
+    assert (m2_f05(source, target, EditSet([])), m2_f05(source, source, EditSet([]))) == \
+        (0.0, 100.0)
+    gold = Example(task="correct_grammar", source=source, target=target, gold_edits=[[2, 3, []]])
+    no_gold = Example(task="correct_grammar", source=source, target=target)
+    message = "dev example 1 of the 'correct_grammar' set has no gold edits"
+    with pytest.raises(ValueError, match=message):
+        TaskData("correct_grammar", [gold], dev=[gold, no_gold])
+    vocab = build_vocab([gold.model_source], max_size=100, sentinels=4)
+    cfg = ModelConfig(vocab_size=vocab.vocab_size, d_model=16, n_heads=2, d_ff=32,
+                      n_enc_layers=1, n_dec_layers=1, max_seq_len=64)
+    with pytest.raises(ValueError, match=message):
+        evaluate_dev(Seq2SeqTransformer(cfg, seed=1), vocab, [gold, no_gold],
+                     REGISTRY["correct_grammar"])
+    # an explicit empty list says that no edit is needed, and stays valid
+    no_edit = Example(task="correct_grammar", source=target, target=target, gold_edits=[])
+    assert TaskData("correct_grammar", [gold], dev=[no_edit]).dev[0].gold_edits == []
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("vocab", None, "vocab.txt is not the run's vocabulary"),
+    ("dropout_rate", 0.5, "config.json has dropout_rate=0.1, but the model has 0.5"),
+    ("max_seq_len", 100, "config.json has max_seq_len=64, but the model has 100"),
+], ids=["vocab", "dropout_rate", "max_seq_len"])
+def test_resume_checks_config_and_vocabulary(tmp_path, monkeypatch, field, value, message):
+    import re
+
+    from octopus import trainer
+    from octopus.vocab import Vocabulary
+
+    examples, vocab, cfg, _ = _mini_setup()
+    data = Datasets(tasks=[TaskData("translitrate_ar2en", examples)])
+    tc = TrainConfig(strategy="single_task", batch_size=8, max_steps=2, seed=3,
+                     out_dir=tmp_path / "run")
+    train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data)
+    if field == "vocab":  # same size, another order
+        vocab = Vocabulary(vocab.content_tokens[::-1], sentinels=vocab.num_sentinels)
+    else:
+        cfg = replace(cfg, **{field: value})
+    model = Seq2SeqTransformer(cfg, seed=7)
+    before = {name: p.data.copy() for name, p in model.parameters().items()}
+    monkeypatch.setattr(trainer, "adam_step", _no_step)
+    ckpt = tmp_path / "run" / "step_000002"
+    with pytest.raises(ValueError, match=re.escape(f"{ckpt}: {message}")):
+        train(model, vocab, replace(tc, max_steps=4, out_dir=tmp_path / "resumed"), data,
+              resume_from=ckpt)
+    assert all(np.array_equal(p.data, before[name]) for name, p in model.parameters().items())
