@@ -291,11 +291,9 @@ def generate(model, vocab, source_ids: list[int], cfg: DecodeConfig) -> list[Hyp
     return generate_batch(model, vocab, [source_ids], cfg, 1)[0]
 
 
-def greedy_decode_batch(
-    model, vocab, sources: list[list[int]], max_len: int, no_repeat_ngram_size: int = 0
-) -> list[list[int]]:
+def greedy_decode_batch(model, vocab, sources: list[list[int]], max_len: int) -> list[list[int]]:
     """Greedy `generate_batch` over all sources in one chunk; one id list
     per source, eos stripped."""
-    cfg = DecodeConfig("greedy", seq_length=max_len, no_repeat_ngram_size=no_repeat_ngram_size)
+    cfg = DecodeConfig("greedy", seq_length=max_len)
     hyps = generate_batch(model, vocab, sources, cfg, max(len(sources), 1))
     return [h.ids[:-1] if h.finished else h.ids for (h,) in hyps]

@@ -326,47 +326,6 @@ def diacritization_fidelity(source: str, hypothesis: str, diacritics: set[str]) 
     return _lcs_len(src_words, hyp_words) / len(src_words)
 
 
-# ---- gold-edit sidecar files (M2-scorer compatible subset) ----
-
-def write_m2_file(path, sources: list[str], golds: list[EditSet]):
-    """One block per sentence: an "S <tokens>" line then "A start end|||replacement" lines."""
-    with open(path, "w", encoding="utf-8") as f:
-        for src, gold in zip(sources, golds):
-            f.write(f"S {src}\n")
-            for start, end, repl in gold.edits:
-                f.write(f"A {start} {end}|||{' '.join(repl)}\n")
-            f.write("\n")
-
-
-def read_m2_file(path) -> tuple[list[str], list[EditSet]]:
-    sources: list[str] = []
-    golds: list[EditSet] = []
-    edits: list[Edit] = []
-    src: str | None = None
-    with open(path, encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if src is not None:
-                    sources.append(src)
-                    golds.append(EditSet(edits))
-                src, edits = None, []
-            elif line.startswith("S "):
-                src = line[2:]
-            elif line.startswith("A "):
-                if src is None:
-                    raise ValueError(f"{path}:{line_no}: edit line before source line")
-                span, _, repl = line[2:].partition("|||")
-                start, end = span.split()
-                edits.append((int(start), int(end), tuple(repl.split())))
-            else:
-                raise ValueError(f"{path}:{line_no}: unrecognized line {line!r}")
-    if src is not None:
-        sources.append(src)
-        golds.append(EditSet(edits))
-    return sources, golds
-
-
 # ---- dispatch used by dev evaluation and reporting ----
 
 CORPUS_METRICS = {

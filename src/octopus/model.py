@@ -56,7 +56,7 @@ class ModelConfig:
         """Parse to_json output; ValueError when it is malformed."""
         try:
             return cls(**json.loads(text))
-        except TypeError as e:  # not a JSON object, or unknown or missing fields
+        except (TypeError, json.JSONDecodeError) as e:  # not JSON, not an object, or bad fields
             raise ValueError(f"malformed model config: {e}") from e
 
 
@@ -285,9 +285,6 @@ class Seq2SeqTransformer:
     def zero_grads(self):
         for p in self.params.values():
             p.grad = None
-
-    def num_params(self) -> int:
-        return sum(p.data.size for p in self.params.values())
 
     def save(self, path):
         save_checkpoint(path, {k: p.data for k, p in self.params.items()})

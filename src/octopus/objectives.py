@@ -34,7 +34,9 @@ def corrupt_spans(
     """
     if not tokens:
         raise ValueError("cannot corrupt an empty sequence")
-    if any(vocab.is_sentinel(t) for t in tokens):
+    # sentinels are the top id block, so the max rules most inputs out without a scan
+    first_sentinel = vocab.vocab_size - vocab.num_sentinels
+    if max(tokens) >= first_sentinel and any(map(vocab.is_sentinel, tokens)):
         raise ValueError("input tokens may not contain sentinel ids")
     check_sentinels(vocab)
 

@@ -6,7 +6,7 @@ desk scale.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,19 +63,6 @@ def normalize_prefix(name: str) -> str:
 
 def task_for_prefix(name: str) -> TaskSpec:
     return REGISTRY[normalize_prefix(name)]
-
-
-def canonical_tasks() -> list[str]:
-    seen: list[str] = []
-    for spec in REGISTRY.values():
-        if spec.name not in seen:
-            seen.append(spec.name)
-    return seen
-
-
-def registry_json() -> str:
-    """Stable serialization of the registry (order and content)."""
-    return json.dumps([asdict(REGISTRY[p]) for p in PREFIXES], sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -180,19 +167,6 @@ def _example_from_json(obj) -> Example:
 def _is_edit(e) -> bool:
     return (isinstance(e, list) and len(e) == 3 and all(type(n) is int for n in e[:2])
             and isinstance(e[2], list) and all(isinstance(w, str) for w in e[2]))
-
-
-def write_jsonl(path, examples: list[Example]):
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            obj = {"task": ex.task, "target": ex.target}
-            for key in ("source", "question", "context", "answer"):
-                value = getattr(ex, key)
-                if value is not None:
-                    obj[key] = value
-            if ex.gold_edits is not None:
-                obj["gold_edits"] = [[s, e, list(r)] for s, e, r in ex.gold_edits]
-            f.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 # ---- synthetic desk-scale datasets ----

@@ -68,26 +68,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None):
         return tensor_sum(self, axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:

@@ -175,21 +175,15 @@ def sample_task_batch(mixer: TaskMixer, rng: np.random.Generator) -> tuple[str, 
 
 
 def evaluate_dev(model: Seq2SeqTransformer, vocab: Vocabulary, dev: list[Example],
-                 task: TaskSpec, decode_cfg: DecodeConfig | None = None) -> float:
-    """Decode the dev set and score each source's top hypothesis with the
-    task's metric.
-
-    Greedy decoding by default, capped at 8 tokens past the longest
-    reference; a non-greedy DecodeConfig keeps its own seq_length.
-    """
+                 task: TaskSpec) -> float:
+    """Decode the dev set greedily, capped at 8 tokens past the longest
+    reference, and score the outputs with the task's metric."""
     if not dev:
         raise ValueError("dev set is empty")
     golds = _gold_edit_sets(task, dev)
     # cut like training sources (`batch_from_ids`), so a long one cannot crash a checkpoint
     sources = [vocab.encode(ex.model_source)[:model.config.max_seq_len] for ex in dev]
-    cfg = decode_cfg or DecodeConfig(method="greedy")
-    if cfg.method == "greedy":
-        cfg = replace(cfg, seq_length=max(len(vocab.encode(ex.target)) for ex in dev) + 8)
+    cfg = DecodeConfig("greedy", seq_length=max(len(vocab.encode(ex.target)) for ex in dev) + 8)
     hyps = [vocab.decode(h[0].ids) for h in generate_batch(model, vocab, sources, cfg, 64)]
     return score_task(task.metric, hyps, [ex.target for ex in dev],
                       sources=[ex.source for ex in dev], gold_edits=golds)

@@ -43,6 +43,8 @@ class Vocabulary:
     def __init__(self, content_tokens: list[str], sentinels: int = 100):
         if len(set(content_tokens)) != len(content_tokens):
             raise ValueError("duplicate content tokens")
+        if sentinels < 0:
+            raise ValueError(f"the number of sentinels must be >= 0, not {sentinels}")
         self.num_sentinels = sentinels
         self._tokens = list(content_tokens)
         self._token_to_id = {
@@ -115,15 +117,24 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as f:
             header = f.readline().rstrip("\n")
-            fields = dict(part.split("=", 1) for part in header.split("\t"))
+            parts = [part.split("=", 1) for part in header.split("\t")]
             tokens = [_unescape(line.rstrip("\n")) for line in f]
+        if any(len(p) != 2 for p in parts):
+            raise ValueError(f"corrupt vocabulary file {path}: header {header!r} "
+                             "is not tab-separated key=value fields")
+        fields = dict(parts)
         for key in ("sentinels", "unit", "vocab_size"):
             if key not in fields:
                 raise ValueError(f"corrupt vocabulary file {path}: header has no {key!r} field")
         if fields["unit"] != "char":
             raise ValueError(f"vocabulary file {path}: unsupported unit {fields['unit']!r}")
-        vocab = cls(tokens, sentinels=int(fields["sentinels"]))
-        if vocab.vocab_size != int(fields["vocab_size"]):
+        try:
+            sentinels, size = int(fields["sentinels"]), int(fields["vocab_size"])
+        except ValueError:
+            raise ValueError(f"corrupt vocabulary file {path}: header {header!r} "
+                             "has a count that is not an integer") from None
+        vocab = cls(tokens, sentinels=sentinels)
+        if vocab.vocab_size != size:
             raise ValueError(f"corrupt vocabulary file {path}: size mismatch")
         return vocab
 

@@ -473,11 +473,14 @@ def test_task_entry_function_matches_main(checkpoint, capsys):
 
 def test_every_console_script_entry_point_exists():
     import importlib
-    import tomllib
+    import re
     from pathlib import Path
 
+    # a plain-text read of the table: tomllib is not in Python 3.10
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    text = pyproject.read_text(encoding="utf-8")
+    table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(re.findall(r'^(\S+) = "([^"]+)"$', table, re.M))
     assert len(scripts) == 11
     for target in scripts.values():
         module, func = target.split(":")

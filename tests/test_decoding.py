@@ -300,9 +300,13 @@ def test_greedy_decode_batch_matches_one_source_greedy(f64_setup):
     models, vocab, sources = f64_setup  # sources differ in length: padded rows
     for model in models:
         for ngram in (0, 2):
-            batch = greedy_decode_batch(model, vocab, sources, 12, ngram)
+            cfg = DecodeConfig(method="greedy", seq_length=12, no_repeat_ngram_size=ngram)
+            if ngram:
+                batch = [h.ids[:-1] if h.finished else h.ids
+                         for (h,) in generate_batch(model, vocab, sources, cfg, len(sources))]
+            else:
+                batch = greedy_decode_batch(model, vocab, sources, 12)
             for src, ids in zip(sources, batch):
-                cfg = DecodeConfig(method="greedy", seq_length=12, no_repeat_ngram_size=ngram)
                 (hyp,) = generate(model, vocab, src, cfg)
                 assert ids == (hyp.ids[:-1] if hyp.finished else hyp.ids)
 

@@ -14,10 +14,8 @@ from octopus.metrics import (
     m2_f05,
     m2_f05_corpus,
     macro_scores,
-    read_m2_file,
     rouge_l,
     token_f1,
-    write_m2_file,
 )
 
 from helpers import lcs_by_enumeration, recursive_edit_distance
@@ -206,16 +204,6 @@ def test_m2_corpus_pools_counts():
     hyps = ["x b", "c d"]  # first fixed, second untouched
     # pooled: tp=1, sys=1, gold=2 -> P=1, R=0.5
     assert m2_f05_corpus(sources, hyps, golds) == pytest.approx(83.33, abs=0.01)
-
-
-def test_m2_file_round_trip(tmp_path):
-    sources = ["a b c", "d e"]
-    golds = [EditSet([(0, 1, ("x", "y")), (2, 2, ("z",))]), EditSet([])]
-    path = tmp_path / "gold.m2"
-    write_m2_file(path, sources, golds)
-    s2, g2 = read_m2_file(path)
-    assert s2 == sources
-    assert [g.edits for g in g2] == [g.edits for g in golds]
 
 
 def test_macro_scores_hand_example():

@@ -21,7 +21,6 @@ from octopus import (
     select_best_checkpoint,
     train,
 )
-from octopus.decoding import DecodeConfig, generate
 from octopus.tensor import Tensor
 from octopus.trainer import CheckpointMeta
 from octopus.tasks import synth_cipher, synth_devowel, task_for_prefix, Example
@@ -607,22 +606,6 @@ def test_evaluate_dev_equals_direct_metric_on_dumped_pairs():
     max_ref = max(len(vocab.encode(ex.target)) for ex in examples)
     hyp = [vocab.decode(o) for o in greedy_decode_batch(model, vocab, sources, max_ref + 8)]
     assert score == score_task("cer", hyp, [ex.target for ex in examples])
-
-
-@pytest.mark.parametrize("cfg", [DecodeConfig("beam", nbeam=3, max_outputs=2, seq_length=5),
-                                 DecodeConfig("sampling", max_outputs=2, top_k=4, seq_length=5,
-                                              seed=7)])
-def test_evaluate_dev_non_greedy_scores_top_generate_hypothesis(cfg):
-    # a non-greedy config keeps its own seq_length (5, below the greedy cap)
-    from octopus.metrics import score_task
-
-    examples, vocab, _, model = _mini_setup(n_examples=12)
-    spec = task_for_prefix("translitrate_ar2en")
-    score = evaluate_dev(model, vocab, examples, spec, cfg)
-    tops = [generate(model, vocab, vocab.encode(ex.model_source), cfg)[0] for ex in examples]
-    assert all(len(h.ids) <= 5 for h in tops)
-    hyps = [vocab.decode(h.ids) for h in tops]
-    assert score == score_task("cer", hyps, [ex.target for ex in examples])
 
 
 def test_evaluate_dev_empty_errors():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,21 @@ def test_load_rejects_a_unit_other_than_char(tmp_path):
     path.write_text("vocab_size=7\tsentinels=2\tunit=word\nab\nq\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unsupported unit 'word'"):
         Vocabulary.load(path)
+
+
+@pytest.mark.parametrize("header", ["", "vocab_size 7", "vocab_size=7\tsentinels=x\tunit=char",
+                                    "vocab_size=7.0\tsentinels=2\tunit=char"],
+                         ids=["empty", "no_equals", "sentinels_x", "size_float"])
+def test_load_names_a_corrupt_header(tmp_path, header):
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"{header}\nab\nq\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"corrupt vocabulary file {path}: header ")):
+        Vocabulary.load(path)
+
+
+def test_negative_sentinel_count_is_rejected():
+    with pytest.raises(ValueError, match="sentinels must be >= 0"):
+        Vocabulary(list("abc"), sentinels=-2)
 
 
 def test_load_reads_hand_edited_escapes(tmp_path):
