@@ -174,8 +174,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         blob = f.read(blob_len)
         if len(blob) != blob_len:
             raise ValueError(f"{path} is truncated: manifest cut short")
-        manifest = json.loads(blob.decode("utf-8"))
         data = f.read()
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        manifest = json.loads(blob.decode("utf-8"))
+    except ValueError as e:
+        raise ValueError(f"{path} has a malformed manifest") from e
     if not isinstance(manifest, list):
         raise ValueError(f"{path} has a malformed manifest")
     arrays = {}
@@ -213,22 +216,22 @@ class DecoderCache:
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=np.int64)
         self.length = 0  # decoder positions held
-        # self-attention -> [k, v] of (max_seq_len, rows or more, H, dh): position-major, so
-        # the filled part is contiguous and a new buffer touches only the pages it fills
+        # self-attention -> [k, v] of (max_seq_len, rows or more, d_model): position-major,
+        # so the filled part is contiguous and a new buffer touches only the pages it fills
         self.kv: dict[str, list[np.ndarray]] = {}
-        # cross-attention -> one (k, v) pair per source group, (n, H, S, dh) each
+        # cross-attention -> one (k, v) pair per source group, (n, S, d_model) each
         self.cross: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._groups: list[tuple[int, slice | np.ndarray, slice | np.ndarray]] | None = None
 
     def append(self, name: str, k: np.ndarray, v: np.ndarray, max_len: int):
-        """Write new self-attention positions, (B, H, T, dh) each, after the
-        `length` cached ones; return all filled positions as (B, H, L, dh)."""
-        end, n = self.length + k.shape[2], len(self.rows)
+        """Write new self-attention positions, (B, T, d_model) each, after
+        the `length` cached ones; return all filled positions as (B, L, d_model)."""
+        end, n = self.length + k.shape[1], len(self.rows)
         if name not in self.kv:
-            self.kv[name] = [np.empty((max_len, *a.shape[:2], a.shape[3]), a.dtype) for a in (k, v)]
+            self.kv[name] = [np.empty((max_len, *a.shape[::2]), a.dtype) for a in (k, v)]
         for buf, new in zip(self.kv[name], (k, v)):
-            buf[self.length:end, :n] = new.transpose(2, 0, 1, 3)
-        return tuple(buf[:end, :n].transpose(1, 2, 0, 3) for buf in self.kv[name])
+            buf[self.length:end, :n] = new.transpose(1, 0, 2)
+        return tuple(buf[:end, :n].transpose(1, 0, 2) for buf in self.kv[name])
 
     def reorder(self, parents):
         """Make old row parents[i] the new row i; rows may repeat or drop.
@@ -277,7 +280,10 @@ class Seq2SeqTransformer:
         self.config = config
         self.dtype = dtype
         self.params = params if params is not None else init_params(config, seed, dtype)
-        self._buckets: dict[str, np.ndarray] = {}  # stack -> (max_seq_len, max_seq_len)
+        n = config.max_seq_len
+        # stack -> the relative-position bucket of each (query, key) pair of positions
+        self._buckets = {stack: _bucket_matrix(n, n, stack == "encoder", config.relpos_num_buckets,
+                                               config.relpos_max_distance) for stack in BLOCKS}
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -291,6 +297,8 @@ class Seq2SeqTransformer:
 
     def load(self, path):
         arrays = load_checkpoint(path)
+        if extra := sorted(arrays.keys() - self.params.keys()):
+            raise ValueError(f"{path} holds tensor {extra[0]!r}, which the model lacks")
         for name, p in self.params.items():
             if name not in arrays:
                 raise ValueError(f"checkpoint missing parameter {name!r}")
@@ -321,25 +329,10 @@ class Seq2SeqTransformer:
     def _relpos_bias(self, ops, stack: str, start: int, end: int):
         """Bias for query positions start..end over keys 0..end, sliced from
         one bucket matrix per stack."""
-        if stack not in self._buckets:
-            n = self.config.max_seq_len
-            self._buckets[stack] = _bucket_matrix(
-                n, n, stack == "encoder",
-                self.config.relpos_num_buckets, self.config.relpos_max_distance,
-            )
         buckets = self._buckets[stack][start:end, :end]
-        table = self._param(ops, f"{stack}.relpos")  # (H, num_buckets)
-        by_bucket = ops.transpose(table, (1, 0))  # (num_buckets, H)
-        bias = ops.take(by_bucket, buckets)  # (q, k, H)
-        bias = ops.transpose(bias, (2, 0, 1))
-        return ops.reshape(bias, (1, self.config.n_heads) + buckets.shape)
-
-    def _heads(self, ops, x, weight: str):
-        """Project (B, L, d_model) and split heads: (B, H, L, d_head)."""
-        cfg = self.config
-        y = ops.matmul(x, self._param(ops, weight))
-        y = ops.reshape(y, (x.shape[0], x.shape[1], cfg.n_heads, cfg.d_model // cfg.n_heads))
-        return ops.transpose(y, (0, 2, 1, 3))
+        by_bucket = ops.transpose(self._param(ops, f"{stack}.relpos"), (1, 0))  # (num_buckets, H)
+        bias = ops.transpose(ops.take(by_bucket, buckets), (2, 0, 1))  # (q, k, H) -> (H, q, k)
+        return ops.reshape(bias, (1,) + bias.shape)
 
     def _attention(self, ops, x_q, x_kv, base: str, mask_add: np.ndarray | None, bias,
                    rng: np.random.Generator | None, cache: DecoderCache | None = None):
@@ -349,17 +342,18 @@ class Seq2SeqTransformer:
         reads x_kv as a list of source groups, projected once each; each row
         attends to its own group, with the operands of a decode of it alone."""
         def kv(x):
-            return self._heads(ops, x, f"{base}.wk"), self._heads(ops, x, f"{base}.wv")
+            return tuple(ops.matmul(x, self._param(ops, f"{base}.{w}")) for w in ("wk", "wv"))
 
-        q = self._heads(ops, x_q, f"{base}.wq")
+        cfg = self.config
+        q = ops.matmul(x_q, self._param(ops, f"{base}.wq"))
         # scaled dot-product keeps init-time logits near unit variance,
         # which matters for trainability at desk scale
-        args = (1.0 / math.sqrt(q.shape[-1]), bias, mask_add,
-                self.config.dropout_rate if rng is not None else 0.0, rng)
+        args = (cfg.n_heads, 1.0 / math.sqrt(cfg.d_model // cfg.n_heads), bias, mask_add,
+                cfg.dropout_rate if rng is not None else 0.0, rng)
         if cache is None:
             out = ops.attention(q, *kv(x_kv), *args)
         elif x_kv is x_q:
-            out = ops.attention(q, *cache.append(base, *kv(x_kv), self.config.max_seq_len), *args)
+            out = ops.attention(q, *cache.append(base, *kv(x_kv), cfg.max_seq_len), *args)
         else:
             if base not in cache.cross:
                 cache.cross[base] = [kv(enc.data) for enc in x_kv]
@@ -367,8 +361,6 @@ class Seq2SeqTransformer:
             for g, sel, loc in cache.row_groups([enc.shape[0] for enc in x_kv]):
                 k, v = cache.cross[base][g]
                 out[sel] = ops.attention(q[sel], k[loc], v[loc], *args)
-        b, _, lq, _ = out.shape
-        out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (b, lq, self.config.d_model))
         return ops.matmul(out, self._param(ops, f"{base}.wo"))
 
     def _ff(self, ops, x, base: str, rng: np.random.Generator | None):

@@ -242,36 +242,41 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(p, (x,), lambda g: (_softmax_vjp(g, p, axis),))
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, bias=None,
+def _split(x: np.ndarray, heads: int) -> np.ndarray:
+    """(B, L, d) -> (B, heads, L, d // heads), a view; unlike -1, it splits B = 0."""
+    return x.reshape(*x.shape[:2], heads, x.shape[2] // heads).transpose(0, 2, 1, 3)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, scale: float, bias=None,
             mask_add=None, rate: float = 0.0, rng: np.random.Generator | None = None):
     """The array forward of `attention`: (output, attention weights before
     dropout, bool keep mask or None)."""
-    dt = q.dtype
+    dt, shape = q.dtype, q.shape
+    q, k, v = (_split(x, heads) for x in (q, k, v))
     scores = np.matmul(q * dt.type(scale), k.swapaxes(-1, -2))
     if bias is not None:
         scores += bias
     if mask_add is not None:
         scores += np.asarray(mask_add, dtype=dt)
     p = _softmax(scores, -1)
-    if rate <= 0.0:
-        return np.matmul(p, v), p, None
-    keep = rng.random(p.shape) >= rate
-    return np.matmul(p * keep * dt.type(1.0 / (1.0 - rate)), v), p, keep
+    keep = rng.random(p.shape) >= rate if rate > 0.0 else None
+    w = p if keep is None else p * keep * dt.type(1.0 / (1.0 - rate))
+    return np.matmul(w, v).transpose(0, 2, 1, 3).reshape(shape), p, keep
 
 
-def attention(q, k, v, scale: float, bias=None, mask_add=None,
+def attention(q, k, v, heads: int, scale: float, bias=None, mask_add=None,
               rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
-    """softmax(q*scale @ kᵀ + bias + mask_add) @ v over the last two axes,
-    with inverted dropout of the attention weights when rate > 0, as one
-    graph node.
+    """Multi-head softmax(q*scale @ kᵀ + bias + mask_add) @ v, with inverted
+    dropout of the attention weights when rate > 0, as one graph node.
 
-    bias (a Tensor, differentiable) and mask_add (an array of 0/-inf, not
-    differentiable) broadcast against the (..., Lq, Lk) scores. The float
-    ops are those of the composed mul/matmul/add/softmax/dropout/matmul
-    path, in the same order and drawing the dropout mask from rng at the
-    same point, so outputs and gradients equal it bit for bit; the vjp keeps
-    only the attention weights and a bool keep mask instead of that path's
-    six score-sized arrays.
+    q (B, Lq, d), k and v (B, Lk, d) are split into `heads` heads, which the
+    (B, Lq, d) result joins back. bias (a Tensor, differentiable) and
+    mask_add (an array of 0/-inf, not differentiable) broadcast against the
+    (B, heads, Lq, Lk) scores. The float ops are those of the composed
+    reshape/transpose/mul/matmul/add/softmax/dropout/matmul path, in the same
+    order and drawing the dropout mask from rng at the same point, so outputs
+    and gradients equal it bit for bit; the vjp keeps only the attention
+    weights and a bool keep mask, not that path's six score-sized arrays.
     """
     q = _as_tensor(q)
     k, v = _as_tensor(k, like=q), _as_tensor(v, like=q)
@@ -279,22 +284,23 @@ def attention(q, k, v, scale: float, bias=None, mask_add=None,
     if bias is not None:
         bias = _as_tensor(bias, like=q)
         parents += (bias,)
-    out, p, keep = _attend(q.data, k.data, v.data, scale,
+    out, p, keep = _attend(q.data, k.data, v.data, heads, scale,
                            None if bias is None else bias.data, mask_add, rate, rng)
 
     def vjp(g):
         dt = q.data.dtype
         s, drop_scale = dt.type(scale), 1.0 / (1.0 - rate)
+        qh, kh, vh, g = (_split(x, heads) for x in (q.data, k.data, v.data, g))
         w = p if keep is None else p * keep * dt.type(drop_scale)
-        gw = _unbroadcast(np.matmul(g, np.swapaxes(v.data, -1, -2)), p.shape)
-        gv = _unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.data.shape)
+        gw = np.matmul(g, np.swapaxes(vh, -1, -2))
+        gv = np.matmul(np.swapaxes(w, -1, -2), g)
         if keep is not None:
             gw = gw * keep * drop_scale
         gs = _softmax_vjp(gw, p, -1)
-        gq = _unbroadcast(np.matmul(gs, k.data) * s, q.data.shape)
-        gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(q.data * s, -1, -2), gs),
-                                      np.swapaxes(k.data, -1, -2).shape), -1, -2)
-        grads = (gq, gk, gv)
+        gq = np.matmul(gs, kh) * s
+        gk = np.swapaxes(np.matmul(np.swapaxes(qh * s, -1, -2), gs), -1, -2)
+        grads = tuple(gx.transpose(0, 2, 1, 3).reshape(x.data.shape)
+                      for gx, x in zip((gq, gk, gv), (q, k, v)))
         return grads if bias is None else grads + (_unbroadcast(gs, bias.data.shape),)
 
     return _make(out, parents, vjp)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -292,6 +293,16 @@ def test_checkpoint_manifest_outside_payload(tmp_path):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize("blob", [b"\xff\xfe[]", b"not json"], ids=["not-utf8", "not-json"])
+def test_checkpoint_malformed_manifest_names_the_file(tmp_path, blob):
+    import struct
+
+    path = tmp_path / "bad.octo"
+    path.write_bytes(b"OCTO1" + struct.pack("<I", len(blob)) + blob)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} has a malformed manifest"):
+        load_checkpoint(path)
+
+
 def _biased_model():
     """float64 tiny model whose relative-position tables are not zero."""
     model = tiny_model(dtype=np.float64)
@@ -415,7 +426,7 @@ def test_cache_holds_max_seq_len_positions_through_reorders():
         prefixes = np.zeros((3, 0), dtype=np.int64)
         for t in range(model.config.max_seq_len):
             parents = rng.integers(0, 3, size=3)
-            # buffers are (position, row, head, d_head)
+            # buffers are (position, row, d_model)
             before = {name: [a[:t, :3].copy() for a in kv] for name, kv in cache.kv.items()}
             cache.reorder(parents)
             for name, kv in cache.kv.items():
@@ -495,6 +506,43 @@ def test_model_save_load_identical_logits(tmp_path):
         enc = other.encode(ids, mask)
         after = other.decode_logits(enc, mask, np.array([[0, 8]])).data
     assert np.array_equal(before, after)
+
+
+def test_model_load_rejects_tensors_the_model_lacks(tmp_path):
+    def model(layers):
+        cfg = ModelConfig(vocab_size=16, d_model=8, n_heads=2, d_ff=16, n_enc_layers=layers,
+                          n_dec_layers=layers, relpos_num_buckets=8, max_seq_len=16)
+        return Seq2SeqTransformer(cfg, seed=0)
+
+    model(2).save(tmp_path / "m.octo")
+    small = model(1)
+    before = {name: p.data.copy() for name, p in small.params.items()}
+    with pytest.raises(ValueError, match="'decoder.block1.attn.norm'"):
+        small.load(tmp_path / "m.octo")
+    assert all(np.array_equal(p.data, before[name]) for name, p in small.params.items())
+
+
+def test_batch_loss_reshapes_and_transposes_once_per_stack_not_per_layer(monkeypatch):
+    """Attention splits and merges its heads inside one op, so the number
+    of reshape and transpose calls of a training forward does not grow with
+    the number of layers."""
+    from octopus import tensor
+
+    calls = {}
+    for op in ("reshape", "transpose"):
+        def counted(*args, _op=op, _fn=getattr(tensor, op)):
+            calls[_op] = calls.get(_op, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(tensor, op, counted)
+
+    def counts(layers):
+        cfg = ModelConfig(vocab_size=16, d_model=8, n_heads=2, d_ff=16, n_enc_layers=layers,
+                          n_dec_layers=layers, relpos_num_buckets=8, max_seq_len=16)
+        calls.clear()
+        Seq2SeqTransformer(cfg, seed=0).batch_loss(tiny_batch(), rng=np.random.default_rng(0))
+        return dict(calls)
+
+    assert counts(1) == counts(3)
 
 
 def test_param_count_is_function_of_config():

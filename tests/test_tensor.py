@@ -239,7 +239,7 @@ def test_adam_rejects_non_finite_grads():
 
 def _attention_inputs(rng, dtype, mask_kind):
     b, h, lq, lk, dh = 2, 2, 4, 4, 3
-    q, k, v = (Tensor(rng.standard_normal((b, h, n, dh)), requires_grad=True, dtype=dtype)
+    q, k, v = (Tensor(rng.standard_normal((b, n, h * dh)), requires_grad=True, dtype=dtype)
                for n in (lq, lk, lk))
     bias = Tensor(rng.standard_normal((1, h, lq, lk)), requires_grad=True, dtype=dtype)
     if mask_kind == "key":  # the second source's last key is padding
@@ -250,23 +250,31 @@ def _attention_inputs(rng, dtype, mask_kind):
     return q, k, v, bias, mask
 
 
-def _composed_attention(q, k, v, scale, bias, mask, rate, rng):
-    """The separate-op attention path, with a float 0/1 dropout mask."""
+def _composed_attention(q, k, v, heads, scale, bias, mask, rate, rng):
+    """The separate-op attention path, with a float 0/1 dropout mask: split
+    the heads, attend per head, merge the heads."""
+    def split(x):
+        b, n, d = x.shape
+        return T.transpose(T.reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
     scores = T.matmul(T.mul(q, scale), T.transpose(k, (0, 1, 3, 2)))
     attn = T.softmax(T.add(T.add(scores, bias), Tensor(mask, dtype=q.dtype)), axis=-1)
     keep = (rng.random(attn.shape) >= rate).astype(q.dtype)
     attn = T.mul(T.mul(attn, Tensor(keep, dtype=q.dtype)), 1.0 / (1.0 - rate))
-    return T.matmul(attn, v)
+    out = T.matmul(attn, v)
+    b, _, lq, dh = out.shape
+    return T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, lq, heads * dh))
 
 
 @pytest.mark.parametrize("mask_kind", ["key", "causal"])
 def test_attention_matches_finite_differences(mask_kind):
     rng = np.random.default_rng(7)
     q, k, v, bias, mask = _attention_inputs(rng, np.float64, mask_kind)
-    weights = rng.standard_normal((2, 2, 4, 3))
+    weights = rng.standard_normal((2, 4, 6))
 
     def loss_of(*xs):
-        out = T.attention(*xs[:3], 0.5, xs[3], mask, rate=0.3, rng=np.random.default_rng(5))
+        out = T.attention(*xs[:3], 2, 0.5, xs[3], mask, rate=0.3, rng=np.random.default_rng(5))
         return (out * weights).sum()
 
     loss_of(q, k, v, bias).backward()
@@ -281,15 +289,15 @@ def test_attention_matches_finite_differences(mask_kind):
 def test_attention_equals_composed_ops_bit_for_bit(mask_kind, rate):
     rng = np.random.default_rng(8)
     inputs = _attention_inputs(rng, np.float32, mask_kind)
-    g = rng.standard_normal((2, 2, 4, 3)).astype(np.float32)
+    g = rng.standard_normal((2, 4, 6)).astype(np.float32)
     runs = []
     for fused in (True, False):
         q, k, v, bias = (Tensor(x.data, requires_grad=True) for x in inputs[:4])
         drop = np.random.default_rng(5)
         if fused:
-            out = T.attention(q, k, v, 1.0 / math.sqrt(3), bias, inputs[4], rate, drop)
+            out = T.attention(q, k, v, 2, 1.0 / math.sqrt(3), bias, inputs[4], rate, drop)
         else:
-            out = _composed_attention(q, k, v, 1.0 / math.sqrt(3), bias, inputs[4], rate, drop)
+            out = _composed_attention(q, k, v, 2, 1.0 / math.sqrt(3), bias, inputs[4], rate, drop)
         (out * g).sum().backward()
         runs.append([out.data] + [x.grad for x in (q, k, v, bias)])
     for a, b in zip(*runs):
@@ -298,10 +306,10 @@ def test_attention_equals_composed_ops_bit_for_bit(mask_kind, rate):
 
 
 def test_attention_fully_masked_row_errors():
-    q = k = v = Tensor(np.ones((1, 1, 2, 2)))
+    q = k = v = Tensor(np.ones((1, 2, 2)))
     mask = np.full((1, 1, 1, 2), -np.inf, dtype=np.float32)
     with pytest.raises(ValueError, match="fully masked"):
-        T.attention(q, k, v, 1.0, mask_add=mask)
+        T.attention(q, k, v, 1, 1.0, mask_add=mask)
 
 
 def test_backward_frees_the_graph():
