@@ -8,6 +8,7 @@ Each step decodes only the newest tokens against a `DecoderCache`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -16,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import DecoderCache
-from .tensor import no_grad
 
 StepFn = Callable[[tuple[int, ...]], np.ndarray]  # prefix -> log-prob vector
 # (parent row of each live row, each live row's prefix) -> (rows, V) log-probs
@@ -47,18 +47,17 @@ class DecodeConfig:
     def __post_init__(self):
         if self.method not in ("greedy", "beam", "sampling"):
             raise ValueError(f"unknown decoding method {self.method!r}")
-        if self.seq_length < 1:
-            raise ValueError("seq_length must be >= 1")
-        if self.max_outputs < 1:
-            raise ValueError("max_outputs must be >= 1")
+        for name, least in (("nbeam", None), ("max_outputs", 1), ("seq_length", 1),
+                            ("no_repeat_ngram_size", 0), ("top_k", 0), ("seed", None)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.method == "beam" and self.nbeam < self.max_outputs:
             raise ValueError("nbeam must be >= max_outputs for beam search")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must be in (0, 1]")
-        if self.top_k < 0:
-            raise ValueError("top_k must be >= 0")
-        if self.no_repeat_ngram_size < 0:
-            raise ValueError("no_repeat_ngram_size must be >= 0")
 
 
 @dataclass
@@ -223,25 +222,16 @@ def sampling_search(step_fn: StepFn, cfg: DecodeConfig, eos_id: int,
     return _search(step, 1, 1, cfg.seq_length, eos_id, blocker, choose)[0][0]
 
 
-def _cached_step(model, vocab, groups: list[list[list[int]]], rows) -> BatchStep:
-    """Encode each group of equal-length sources once, unpadded, and return
-    a step over cached decoder rows; row i starts on source rows[i], counted
-    across the groups in order. Each call keeps the parents' cache rows
-    and decodes only the newest token of each prefix (the start token,
-    pad, on the first step)."""
-    with no_grad():
-        encs = [model.encode(np.array(sources), np.ones((len(sources), len(sources[0])), bool))
-                for sources in groups]
-    cache = DecoderCache(rows)
-
-    def step(parents: np.ndarray, prefixes: list[tuple[int, ...]]) -> np.ndarray:
-        cache.reorder(parents)
-        dec = np.asarray([[p[-1] if p else vocab.pad_id] for p in prefixes], dtype=np.int64)
-        lp = model.decode_logits(encs, None, dec, cache=cache).data[:, -1].astype(np.float64)
-        lp -= lp.max(axis=-1, keepdims=True)
-        return lp - np.log(np.exp(lp).sum(axis=-1, keepdims=True))
-
-    return step
+def _cached_step(model, pad_id: int, cache: DecoderCache, parents: np.ndarray,
+                 prefixes: list[tuple[int, ...]]) -> np.ndarray:
+    """The `BatchStep` of a cached decode: keep the parents' cache rows and
+    decode only the newest token of each prefix (pad, the start token, on
+    the first step)."""
+    cache.reorder(parents)
+    dec = np.asarray([[p[-1] if p else pad_id] for p in prefixes], dtype=np.int64)
+    lp = model.decode_logits(None, None, dec, cache=cache)[:, -1].astype(np.float64)
+    lp -= lp.max(axis=-1, keepdims=True)
+    return lp - np.log(np.exp(lp).sum(axis=-1, keepdims=True))
 
 
 def generate_batch(model, vocab, sources: list[list[int]], cfg: DecodeConfig,
@@ -274,13 +264,14 @@ def generate_batch(model, vocab, sources: list[list[int]], cfg: DecodeConfig,
     for chunk in (order[lo:lo + batch_size] for lo in range(0, len(order), batch_size)):
         groups = [[sources[i] for i in group]
                   for _, group in groupby(chunk, key=lambda i: len(sources[i]))]
-        rows = np.repeat(np.arange(len(chunk)), draws)
-        step = _cached_step(model, vocab, groups, rows)
+        # decoder row r starts on source r // draws of the chunk
+        cache = DecoderCache(groups, np.repeat(np.arange(len(chunk)), draws))
+        step = partial(_cached_step, model, vocab.pad_id, cache)
         choose = None
         if cfg.method == "sampling":
             rngs = [np.random.default_rng((cfg.seed, d)) for _ in chunk for d in range(draws)]
             choose = partial(_sample_choose, cfg=cfg, rngs=rngs)
-        pools = _search(step, len(rows), width, max_len, vocab.eos_id, blocker, choose)
+        pools = _search(step, len(chunk) * draws, width, max_len, vocab.eos_id, blocker, choose)
         for k, i in enumerate(chunk):
             out[i] = [h for pool in pools[k * draws:(k + 1) * draws] for h in pool[:keep]]
     return out

@@ -201,27 +201,31 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 class DecoderCache:
-    """Keys and values of the decoder positions seen so far, for
-    incremental decoding with `Seq2SeqTransformer.decode_logits`.
+    """The inference state of incremental decoding with
+    `Seq2SeqTransformer.decode_logits`: unpadded groups of equal-length
+    source ids, encoded once each on the first call, and the keys and values
+    of the decoder positions seen so far.
 
-    Decoder row i reads source `rows[i]`, counted across the unpadded source
-    groups in order, so one encoded source can feed several rows (beams,
-    sampled draws). Self-attention keys and values fill the first `length`
+    Decoder row i reads source `rows[i]`, counted across the groups in
+    order, so one encoded source can feed several rows (beams, sampled
+    draws). Self-attention keys and values fill the first `length`
     positions of buffers of the model's max_seq_len positions, kept while
     the rows fit; cross-attention keys and values are projected once per
     group on the first call and then read by row.
     Inference only: cached arrays carry no gradient.
     """
 
-    def __init__(self, rows):
+    def __init__(self, groups, rows):
+        self.groups = groups
         self.rows = np.asarray(rows, dtype=np.int64)
+        self.enc: list[np.ndarray] | None = None  # each group's encoder output, (n, S, d_model)
         self.length = 0  # decoder positions held
         # self-attention -> [k, v] of (max_seq_len, rows or more, d_model): position-major,
         # so the filled part is contiguous and a new buffer touches only the pages it fills
         self.kv: dict[str, list[np.ndarray]] = {}
         # cross-attention -> one (k, v) pair per source group, (n, S, d_model) each
         self.cross: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-        self._groups: list[tuple[int, slice | np.ndarray, slice | np.ndarray]] | None = None
+        self._row_groups: list[tuple[int, slice | np.ndarray, slice | np.ndarray]] | None = None
 
     def append(self, name: str, k: np.ndarray, v: np.ndarray, max_len: int):
         """Write new self-attention positions, (B, T, d_model) each, after
@@ -245,21 +249,21 @@ class DecoderCache:
                 if len(parents) > buf.shape[1]:
                     bufs[i] = np.empty((len(buf), len(parents), *buf.shape[2:]), buf.dtype)
                 bufs[i][:self.length, :len(parents)] = buf[:self.length, parents]
-        self._groups = None
+        self._row_groups = None
 
-    def row_groups(self, sizes: list[int]):
-        """For each source group (of the given sizes) that some row reads:
+    def row_groups(self):
+        """For each source group that some row reads:
         (group, the positions of its rows, their sources within the group).
         Kept until `reorder` changes the rows; a contiguous run of indices
         is a slice, so reading it copies nothing."""
-        if self._groups is None:
-            self._groups, first = [], 0
-            for g, n in enumerate(sizes):
+        if self._row_groups is None:
+            self._row_groups, first = [], 0
+            for g, n in enumerate(len(ids) for ids in self.groups):
                 sel = np.flatnonzero((self.rows >= first) & (self.rows < first + n))
                 if len(sel):
-                    self._groups.append((g, _as_slice(sel), _as_slice(self.rows[sel] - first)))
+                    self._row_groups.append((g, _as_slice(sel), _as_slice(self.rows[sel] - first)))
                 first += n
-        return self._groups
+        return self._row_groups
 
 
 def _as_slice(idx: np.ndarray) -> slice | np.ndarray:
@@ -296,6 +300,7 @@ class Seq2SeqTransformer:
         save_checkpoint(path, {k: p.data for k, p in self.params.items()})
 
     def load(self, path):
+        """Replace every parameter from a save() file, or none (ValueError)."""
         arrays = load_checkpoint(path)
         if extra := sorted(arrays.keys() - self.params.keys()):
             raise ValueError(f"{path} holds tensor {extra[0]!r}, which the model lacks")
@@ -304,6 +309,7 @@ class Seq2SeqTransformer:
                 raise ValueError(f"checkpoint missing parameter {name!r}")
             if tuple(arrays[name].shape) != p.data.shape:
                 raise ValueError(f"checkpoint shape mismatch for {name!r}")
+        for name, p in self.params.items():
             p.data = arrays[name].astype(self.dtype)
 
     # ---- forward pieces ----
@@ -313,13 +319,16 @@ class Seq2SeqTransformer:
             return x
         return T.dropout(x, self.config.dropout_rate, rng)
 
-    def _check_ids(self, ids: np.ndarray, name: str):
+    def _checked_ids(self, ids, name: str) -> np.ndarray:
+        """ids as an int64 array, checked against the vocabulary and max_seq_len."""
+        ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
             raise ValueError(f"{name} contains ids outside [0, {self.config.vocab_size})")
         if ids.shape[1] > self.config.max_seq_len:
             raise ValueError(
                 f"{name} length {ids.shape[1]} exceeds max_seq_len {self.config.max_seq_len}"
             )
+        return ids
 
     def _param(self, ops, name: str):
         """A parameter as the op set takes it: a Tensor for `tensor`, else its array."""
@@ -339,8 +348,8 @@ class Seq2SeqTransformer:
         """Multi-head attention of x_q over x_kv, dropout on the weights
         when given an rng. With a cache, self-attention (x_kv is x_q) adds
         its new keys and values after the cached ones, and cross-attention
-        reads x_kv as a list of source groups, projected once each; each row
-        attends to its own group, with the operands of a decode of it alone."""
+        reads the cache's encoded source groups, projected once each; each
+        row attends to its own group, with the operands of a decode of it alone."""
         def kv(x):
             return tuple(ops.matmul(x, self._param(ops, f"{base}.{w}")) for w in ("wk", "wv"))
 
@@ -356,9 +365,9 @@ class Seq2SeqTransformer:
             out = ops.attention(q, *cache.append(base, *kv(x_kv), cfg.max_seq_len), *args)
         else:
             if base not in cache.cross:
-                cache.cross[base] = [kv(enc.data) for enc in x_kv]
+                cache.cross[base] = [kv(enc) for enc in cache.enc]
             out = np.empty_like(q)
-            for g, sel, loc in cache.row_groups([enc.shape[0] for enc in x_kv]):
+            for g, sel, loc in cache.row_groups():
                 k, v = cache.cross[base][g]
                 out[sel] = ops.attention(q[sel], k[loc], v[loc], *args)
         return ops.matmul(out, self._param(ops, f"{base}.wo"))
@@ -379,8 +388,9 @@ class Seq2SeqTransformer:
                rng: np.random.Generator | None = None, cache: DecoderCache | None = None):
         """Embed ids, the stack's positions start.., and run its blocks as
         `BLOCKS` lays them out: self-attention under self_mask, cross-attention
-        into enc_hidden under cross_mask, and the feed-forward. Then the final
-        norm; dropout follows the embedding, each sublayer and the final norm."""
+        into enc_hidden under cross_mask (with a cache, into its encoded
+        groups), and the feed-forward. Then the final norm; dropout follows
+        the embedding, each sublayer and the final norm."""
         x = self._dropout(ops.take(self._param(ops, "shared.embedding"), ids), rng)
         n_layers, end = _layers(self.config, stack), start + ids.shape[1]
         bias = self._relpos_bias(ops, stack, start, end) if n_layers else None
@@ -404,14 +414,13 @@ class Seq2SeqTransformer:
         attn_mask marks real tokens; pad key positions are masked with
         -inf attention logits so they cannot influence real positions.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        self._check_ids(ids, "encoder ids")
+        ids = self._checked_ids(ids, "encoder ids")
         dt = self.params["shared.embedding"].data.dtype
         mask_add = self._key_mask_add(np.asarray(attn_mask, dtype=bool), dt)
         return self._stack(T, "encoder", ids, mask_add, rng=rng)
 
     def decode_logits(self, enc_hidden, enc_mask, dec_ids, cache: DecoderCache | None = None,
-                      rng: np.random.Generator | None = None) -> Tensor:
+                      rng: np.random.Generator | None = None):
         """Decoder logits, shape (B, T, vocab_size).
 
         Causal self-attention (position t attends <= t) plus cross
@@ -419,19 +428,17 @@ class Seq2SeqTransformer:
         shared embedding and rescaled by 1/sqrt(d_model).
 
         Without a cache, dec_ids is the whole decoder input (teacher
-        forcing). With a DecoderCache, dec_ids holds only the next T
-        positions of each cached row; their keys and values are appended
-        to the cache. enc_hidden is then a list of unpadded encoded source
-        groups, whose sources are numbered across the groups in order
-        (`cache.rows` indexes that numbering), and enc_mask and rng must be
-        None. The cached forward runs the same float ops on plain arrays
-        (`tensor.array_ops`), builds no graph, and wraps only its logits.
+        forcing) over enc_hidden, the padded encoder output that enc_mask
+        marks, and the result is a Tensor. With a DecoderCache, enc_hidden,
+        enc_mask and rng are None and dec_ids holds the next T positions of
+        each cached row: the first call encodes the cache's source groups,
+        each call appends its keys and values to the cache, and the forward
+        runs on plain arrays (`tensor.array_ops`) and returns an ndarray.
         """
-        if cache is not None and (enc_mask is not None or rng is not None):
-            raise ValueError("cached decoding is inference on unpadded source groups; "
-                             "pass enc_mask=None and rng=None")
-        dec_ids = np.asarray(dec_ids, dtype=np.int64)
-        self._check_ids(dec_ids, "decoder ids")
+        if cache is not None and any(a is not None for a in (enc_hidden, enc_mask, rng)):
+            raise ValueError("cached decoding is inference on the cache's source groups; "
+                             "pass enc_hidden=None, enc_mask=None and rng=None")
+        dec_ids = self._checked_ids(dec_ids, "decoder ids")
         cfg = self.config
         ops = T if cache is None else T.array_ops
         start = cache.length if cache is not None else 0
@@ -439,6 +446,9 @@ class Seq2SeqTransformer:
         end = start + t_len
         if end > cfg.max_seq_len:
             raise ValueError(f"decoder length {end} exceeds max_seq_len {cfg.max_seq_len}")
+        if cache is not None and cache.enc is None:
+            cache.enc = [self._stack(ops, "encoder", self._checked_ids(ids, "encoder ids"), None)
+                         for ids in cache.groups]
         dt = self.params["shared.embedding"].data.dtype
         # a single query row may see every key, so it needs no causal mask
         causal = (np.triu(np.full((1, 1, t_len, end), -np.inf, dtype=dt), k=1 + start)
@@ -449,9 +459,7 @@ class Seq2SeqTransformer:
         if cache is not None:
             cache.length = end
         x = ops.mul(x, 1.0 / math.sqrt(cfg.d_model))
-        emb = self._param(ops, "shared.embedding")
-        logits = ops.matmul(x, ops.transpose(emb, (1, 0)))
-        return logits if cache is None else Tensor(logits, dtype=logits.dtype)
+        return ops.matmul(x, ops.transpose(self._param(ops, "shared.embedding"), (1, 0)))
 
     def batch_loss(self, batch, rng: np.random.Generator | None = None) -> Tensor:
         """Mean token cross-entropy over the target positions that are not

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import shutil
 import time
@@ -49,14 +50,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.max_steps is None or self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        for name, least in (("batch_size", 1), ("max_steps", 1), ("eval_every", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.eval_every < 0 or self.seed < 0:
-            raise ValueError("eval_every and seed must be non-negative")
         if not 0.0 <= self.labeled_fraction <= 1.0:
             raise ValueError("labeled_fraction must be in [0, 1]")
         if self.task_weights is not None:
@@ -456,9 +455,9 @@ def _save_train_state(ckpt_dir: Path, opt: AdamState, step: int):
 def _load_train_state(ckpt_dir: Path, model: Seq2SeqTransformer, vocab: Vocabulary,
                       opt: AdamState) -> int:
     """Load the model and Adam state of a checkpoint written with this
-    model config and vocabulary; ValueError naming the checkpoint and the
-    first config field that differs, the vocabulary, or the train state
-    entry that is missing or mis-shaped."""
+    model config and vocabulary, all or nothing; ValueError naming the
+    checkpoint and the first config field that differs, the vocabulary, or
+    the train state entry that is missing or mis-shaped."""
     saved = asdict(ModelConfig.from_json((ckpt_dir / "config.json").read_text(encoding="utf-8")))
     for name, value in asdict(model.config).items():
         if saved[name] != value:
@@ -466,18 +465,19 @@ def _load_train_state(ckpt_dir: Path, model: Seq2SeqTransformer, vocab: Vocabula
                              f"but the model has {value!r}")
     if vars(Vocabulary.load(ckpt_dir / "vocab.txt")) != vars(vocab):  # tokens, ids, sentinels
         raise ValueError(f"{ckpt_dir}: vocab.txt is not the run's vocabulary")
-    model.load(ckpt_dir / "model.octo")
     meta = json.loads((ckpt_dir / "train_state.json").read_text(encoding="utf-8"))
     for key in ("step", "adam_step"):
         if not (isinstance(meta, dict) and type(meta.get(key)) is int and meta[key] >= 0):
             raise ValueError(f"{ckpt_dir}: train_state.json needs a non-negative integer {key!r}")
     arrays = load_checkpoint(ckpt_dir / "train_state.octo")
-    for moments, kind in ((opt.m, "m"), (opt.v, "v")):
-        for name in moments:
-            entry, shape = f"adam.{kind}.{name}", model.params[name].shape
-            if entry not in arrays or arrays[entry].shape != shape:
-                raise ValueError(f"{ckpt_dir}: train state entry {entry!r} is missing "
-                                 f"or not of shape {shape}")
-            moments[name] = arrays[entry].astype(model.dtype)
+    entries = [(moments, name, f"adam.{kind}.{name}")
+               for moments, kind in ((opt.m, "m"), (opt.v, "v")) for name in moments]
+    for _, name, entry in entries:
+        if entry not in arrays or arrays[entry].shape != model.params[name].shape:
+            raise ValueError(f"{ckpt_dir}: train state entry {entry!r} is missing "
+                             f"or not of shape {model.params[name].shape}")
+    model.load(ckpt_dir / "model.octo")  # checks every tensor before it writes any
+    for moments, name, entry in entries:
+        moments[name] = arrays[entry].astype(model.dtype)
     opt.step = meta["adam_step"]
     return meta["step"]

@@ -26,6 +26,15 @@ def test_config_validation():
         replace(cfg, max_outputs=6)
 
 
+@pytest.mark.parametrize("value", [5.0, 2.5, "5"])
+@pytest.mark.parametrize("field", ["nbeam", "max_outputs", "seq_length", "no_repeat_ngram_size",
+                                   "top_k", "seed"])
+def test_config_rejects_non_integer_counts(field, value):
+    # each value passes the range checks, or failed them with a bare TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        DecodeConfig(**{field: value})
+
+
 def test_sampling_config_rejects_top_p_zero():
     # sampling_search does not re-check its config; with top_p 0 it would sample greedily
     with pytest.raises(ValueError, match="top_p"):

@@ -313,19 +313,18 @@ def _biased_model():
     return model
 
 
-def _unpadded_groups(model, batch):
-    """Each source of a padded batch encoded alone, unpadded: one group per
-    source, so the sources keep their batch row numbers."""
-    return [model.encode(ids[keep][None], keep[keep][None])
-            for ids, keep in zip(batch.enc_ids, batch.enc_mask)]
+def _unpadded_groups(batch):
+    """Each source of a padded batch alone, unpadded: one group per source,
+    so the sources keep their batch row numbers."""
+    return [ids[keep][None] for ids, keep in zip(batch.enc_ids, batch.enc_mask)]
 
 
 def _cached_logits(model, groups, dec, rows, chunks):
     """Feed dec to a DecoderCache in column chunks; concatenated logits."""
-    cache = DecoderCache(rows)
+    cache = DecoderCache(groups, rows)
     out, pos = [], 0
     for n in chunks:
-        out.append(model.decode_logits(groups, None, dec[:, pos:pos + n], cache=cache).data)
+        out.append(model.decode_logits(None, None, dec[:, pos:pos + n], cache=cache))
         pos += n
     assert cache.length == pos
     return np.concatenate(out, axis=1)
@@ -340,7 +339,7 @@ def test_cached_decode_matches_uncached():
     with no_grad():
         enc = model.encode(batch.enc_ids, batch.enc_mask)
         full = model.decode_logits(enc, batch.enc_mask, dec).data
-        groups = _unpadded_groups(model, batch)
+        groups = _unpadded_groups(batch)
         for chunks in ([1] * 15, [4, 1, 7, 3]):
             cached = _cached_logits(model, groups, dec, [0, 1], chunks)
             assert np.abs(cached - full).max() < 1e-6
@@ -352,7 +351,7 @@ def test_cache_rows_select_sources():
     batch = tiny_batch()
     dec = np.array([[0, 5, 6], [0, 7, 8], [0, 9, 9]])
     with no_grad():
-        cached = _cached_logits(model, _unpadded_groups(model, batch), dec, [1, 0, 1], [1, 1, 1])
+        cached = _cached_logits(model, _unpadded_groups(batch), dec, [1, 0, 1], [1, 1, 1])
         for row, src in enumerate([1, 0, 1]):
             mask = batch.enc_mask[src:src + 1]
             one = model.encode(batch.enc_ids[src:src + 1], mask)
@@ -367,12 +366,11 @@ def test_cache_reorder_matches_uncached_prefixes():
     parents = [1, 1, 0]  # row 1 duplicated, row 0 moved last
     nxt = np.array([[9], [10], [11]])
     with no_grad():
-        groups = _unpadded_groups(model, batch)
-        cache = DecoderCache([0, 1])
-        model.decode_logits(groups, None, dec, cache=cache)
+        cache = DecoderCache(_unpadded_groups(batch), [0, 1])
+        model.decode_logits(None, None, dec, cache=cache)
         cache.reorder(parents)
         assert list(cache.rows) == [1, 1, 0]
-        step = model.decode_logits(groups, None, nxt, cache=cache).data[:, -1]
+        step = model.decode_logits(None, None, nxt, cache=cache)[:, -1]
         src = np.asarray(parents)
         ref_enc = model.encode(batch.enc_ids[src], batch.enc_mask[src])
         ref = model.decode_logits(ref_enc, batch.enc_mask[src],
@@ -390,26 +388,22 @@ def test_cache_over_source_groups_matches_each_group_alone():
     rows = [4, 0, 2, 3, 1, 2]  # sources numbered across the groups: 0-1, 2, 3-4
     dec = rng.integers(2, 16, size=(len(rows), 3))
     parents = [5, 0, 0, 3]  # keep four rows, one duplicated
-    with no_grad():
-        encs = [model.encode(g, np.ones(g.shape, dtype=bool)) for g in groups]
-        cache = DecoderCache(rows)
-        got = [model.decode_logits(encs, None, dec[:, i:i + 1], cache=cache).data
-               for i in range(2)]
-        cache.reorder(parents)
-        got.append(model.decode_logits(encs, None, dec[parents, 2:3], cache=cache).data)
-        for group in range(3):
-            first = sum(len(g) for g in groups[:group])
-            mine = [r for r, src in enumerate(rows) if first <= src < first + len(groups[group])]
-            alone = DecoderCache([rows[r] - first for r in mine])
-            for i in range(2):
-                want = model.decode_logits([encs[group]], None, dec[mine, i:i + 1],
-                                           cache=alone).data
-                assert np.array_equal(got[i][mine], want)
-            kept = [k for k, r in enumerate(parents) if r in mine]
-            alone.reorder([mine.index(parents[k]) for k in kept])
-            want = model.decode_logits([encs[group]], None,
-                                       dec[[parents[k] for k in kept], 2:3], cache=alone).data
-            assert np.array_equal(got[2][kept], want)
+    cache = DecoderCache(groups, rows)
+    got = [model.decode_logits(None, None, dec[:, i:i + 1], cache=cache) for i in range(2)]
+    cache.reorder(parents)
+    got.append(model.decode_logits(None, None, dec[parents, 2:3], cache=cache))
+    for group in range(3):
+        first = sum(len(g) for g in groups[:group])
+        mine = [r for r, src in enumerate(rows) if first <= src < first + len(groups[group])]
+        alone = DecoderCache([groups[group]], [rows[r] - first for r in mine])
+        for i in range(2):
+            want = model.decode_logits(None, None, dec[mine, i:i + 1], cache=alone)
+            assert np.array_equal(got[i][mine], want)
+        kept = [k for k, r in enumerate(parents) if r in mine]
+        alone.reorder([mine.index(parents[k]) for k in kept])
+        want = model.decode_logits(None, None,
+                                   dec[[parents[k] for k in kept], 2:3], cache=alone)
+        assert np.array_equal(got[2][kept], want)
 
 
 def test_cache_holds_max_seq_len_positions_through_reorders():
@@ -421,8 +415,7 @@ def test_cache_holds_max_seq_len_positions_through_reorders():
     batch = tiny_batch()
     rng = np.random.default_rng(6)
     with no_grad():
-        groups = _unpadded_groups(model, batch)
-        cache = DecoderCache([0, 1, 1])
+        cache = DecoderCache(_unpadded_groups(batch), [0, 1, 1])
         prefixes = np.zeros((3, 0), dtype=np.int64)
         for t in range(model.config.max_seq_len):
             parents = rng.integers(0, 3, size=3)
@@ -435,7 +428,7 @@ def test_cache_holds_max_seq_len_positions_through_reorders():
                     a[t:] = np.nan
             new = rng.integers(2, 16, size=(3, 1))
             prefixes = np.concatenate([prefixes[parents], new], axis=1)
-            step = model.decode_logits(groups, None, new, cache=cache).data[:, -1]
+            step = model.decode_logits(None, None, new, cache=cache)[:, -1]
             src = cache.rows
             enc = model.encode(batch.enc_ids[src], batch.enc_mask[src])
             full = model.decode_logits(enc, batch.enc_mask[src], prefixes).data[:, -1]
@@ -444,19 +437,18 @@ def test_cache_holds_max_seq_len_positions_through_reorders():
 
 
 def test_cached_decode_calls_no_tensor_op(monkeypatch):
-    """The cached branch runs on plain arrays: with every tensor op the
-    decoder uses made to raise, a cached decode gives the same logits."""
+    """The cached branch, its encoder included, runs on plain arrays: with
+    every tensor op the model uses made to raise, a cached decode gives the
+    same logits."""
     from octopus import tensor
 
     model = _biased_model()
-    batch = tiny_batch()
+    groups = _unpadded_groups(tiny_batch())
     dec = np.array([[0, 5], [0, 7]])
-    with no_grad():
-        groups = _unpadded_groups(model, batch)
 
     def run():
-        cache = DecoderCache([1, 0])
-        return [model.decode_logits(groups, None, dec[:, i:i + 1], cache=cache).data
+        cache = DecoderCache(groups, [1, 0])
+        return [model.decode_logits(None, None, dec[:, i:i + 1], cache=cache)
                 for i in range(dec.shape[1])]
 
     want = run()
@@ -465,7 +457,7 @@ def test_cached_decode_calls_no_tensor_op(monkeypatch):
         raise AssertionError("a cached decode called a tensor op")
 
     for op in ("matmul", "rms_norm", "attention", "add", "mul", "take", "relu", "reshape",
-               "transpose"):
+               "transpose", "_make", "no_grad"):
         monkeypatch.setattr(tensor, op, raises)
     for got, logits in zip(run(), want):
         assert np.array_equal(got, logits)
@@ -474,22 +466,17 @@ def test_cached_decode_calls_no_tensor_op(monkeypatch):
 def test_cached_decode_rejects_a_mask():
     model = _biased_model()
     batch = tiny_batch()
-    with no_grad():
-        enc = model.encode(batch.enc_ids, batch.enc_mask)
-        with pytest.raises(ValueError, match="enc_mask"):
-            model.decode_logits([enc], batch.enc_mask, np.zeros((2, 1), dtype=np.int64),
-                                cache=DecoderCache([0, 1]))
+    with pytest.raises(ValueError, match="enc_mask"):
+        model.decode_logits(None, batch.enc_mask, np.zeros((2, 1), dtype=np.int64),
+                            cache=DecoderCache(_unpadded_groups(batch), [0, 1]))
 
 
 def test_cache_beyond_max_seq_len_errors():
     model = _biased_model()  # max_seq_len 16
-    batch = tiny_batch()
-    with no_grad():
-        groups = _unpadded_groups(model, batch)
-        cache = DecoderCache([0, 1])
-        model.decode_logits(groups, None, np.zeros((2, 16), dtype=np.int64), cache=cache)
-        with pytest.raises(ValueError, match="max_seq_len"):
-            model.decode_logits(groups, None, np.zeros((2, 1), dtype=np.int64), cache=cache)
+    cache = DecoderCache(_unpadded_groups(tiny_batch()), [0, 1])
+    model.decode_logits(None, None, np.zeros((2, 16), dtype=np.int64), cache=cache)
+    with pytest.raises(ValueError, match="max_seq_len"):
+        model.decode_logits(None, None, np.zeros((2, 1), dtype=np.int64), cache=cache)
 
 
 def test_model_save_load_identical_logits(tmp_path):
@@ -520,6 +507,23 @@ def test_model_load_rejects_tensors_the_model_lacks(tmp_path):
     with pytest.raises(ValueError, match="'decoder.block1.attn.norm'"):
         small.load(tmp_path / "m.octo")
     assert all(np.array_equal(p.data, before[name]) for name, p in small.params.items())
+
+
+def test_model_load_of_a_mis_shaped_checkpoint_replaces_no_parameter(tmp_path):
+    # the embedding and the first attention weights come before the first
+    # feed-forward weight, whose shape differs
+    def model(d_ff):
+        cfg = ModelConfig(vocab_size=16, d_model=8, n_heads=2, d_ff=d_ff, relpos_num_buckets=8,
+                          max_seq_len=16)
+        return Seq2SeqTransformer(cfg, seed=d_ff)
+
+    model(16).save(tmp_path / "m.octo")
+    wide = model(32)
+    before = {name: p.data.copy() for name, p in wide.params.items()}
+    assert len(before) == 47
+    with pytest.raises(ValueError, match="'encoder.block0.ff.wi'"):
+        wide.load(tmp_path / "m.octo")
+    assert all(np.array_equal(p.data, before[name]) for name, p in wide.params.items())
 
 
 def test_batch_loss_reshapes_and_transposes_once_per_stack_not_per_layer(monkeypatch):

@@ -21,7 +21,6 @@ from octopus import (
     select_best_checkpoint,
     train,
 )
-from octopus.tensor import Tensor
 from octopus.trainer import CheckpointMeta
 from octopus.tasks import synth_cipher, synth_devowel, task_for_prefix, Example
 from octopus.vocab import build_vocab
@@ -52,6 +51,13 @@ def test_config_requires_exactly_one_budget():
 def test_config_rejects_bad_values(field):
     with pytest.raises(ValueError):
         TrainConfig(**{"strategy": "single_task", "max_steps": 5, **field})
+
+
+@pytest.mark.parametrize("value", [3.0, 3.5, "3"])
+@pytest.mark.parametrize("field", ["batch_size", "max_steps", "eval_every", "seed"])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        TrainConfig(**{"strategy": "single_task", "max_steps": 5, field: value})
 
 
 def test_config_rejects_bad_weights():
@@ -553,29 +559,22 @@ class _ScriptedModel:
         self.vocab = vocab
         self.mapping = {tuple(k): list(v) for k, v in mapping.items()}
 
-    def encode(self, ids, mask):
-        self._scripts = []
-        for row, m in zip(np.asarray(ids), np.asarray(mask)):
-            key = tuple(int(t) for t, keep in zip(row, m) if keep)
-            self._scripts.append(self.mapping[key] + [self.vocab.eos_id])
-        return Tensor(np.zeros((len(self._scripts), 1, 1)))
-
-    def decode_logits(self, enc_hidden, enc_mask, dec_ids, cache=None):
-        # with a DecoderCache, dec_ids holds the next positions of each
-        # cached row, and row i decodes source cache.rows[i]
+    def decode_logits(self, enc_hidden, enc_mask, dec_ids, cache):
+        # dec_ids holds the next positions of each cached row, and row i
+        # decodes source cache.rows[i], counted across cache.groups in order
+        scripts = [self.mapping[tuple(int(t) for t in ids)] + [self.vocab.eos_id]
+                   for group in cache.groups for ids in group]
         dec = np.asarray(dec_ids)
         b, t = dec.shape
-        start = cache.length if cache is not None else 0
-        rows = cache.rows if cache is not None else range(b)
+        start = cache.length
         logits = np.full((b, t, self.config.vocab_size), -10.0, dtype=np.float32)
-        for i, src in enumerate(rows):
-            script = self._scripts[src]
+        for i, src in enumerate(cache.rows):
+            script = scripts[src]
             for pos in range(start, start + t):
                 want = script[pos] if pos < len(script) else self.vocab.eos_id
                 logits[i, pos - start, want] = 10.0
-        if cache is not None:
-            cache.length = start + t
-        return Tensor(logits)
+        cache.length = start + t
+        return logits
 
 
 def test_evaluate_dev_oracle_model_scores_perfectly():
@@ -606,6 +605,34 @@ def test_evaluate_dev_equals_direct_metric_on_dumped_pairs():
     max_ref = max(len(vocab.encode(ex.target)) for ex in examples)
     hyp = [vocab.decode(o) for o in greedy_decode_batch(model, vocab, sources, max_ref + 8)]
     assert score == score_task("cer", hyp, [ex.target for ex in examples])
+
+
+def test_decoding_builds_no_graph(monkeypatch):
+    """Inference runs on plain arrays: with graph recording and `no_grad`
+    made to raise, batched decoding and dev evaluation give the same outputs."""
+    from octopus import tensor
+    from octopus.decoding import DecodeConfig, generate_batch
+
+    examples, vocab, _, model = _mini_setup(n_examples=12)
+    sources = [vocab.encode(ex.model_source) for ex in examples]  # of several lengths
+    spec = task_for_prefix("translitrate_ar2en")
+    configs = [DecodeConfig("greedy", seq_length=8),
+               DecodeConfig("beam", nbeam=3, max_outputs=2, seq_length=8),
+               DecodeConfig("sampling", max_outputs=2, top_k=5, seq_length=8, seed=3)]
+
+    def run():
+        return ([[[(h.ids, h.logprob, h.finished) for h in hyps]
+                  for hyps in generate_batch(model, vocab, sources, cfg, 4)] for cfg in configs],
+                evaluate_dev(model, vocab, examples, spec))
+
+    want = run()
+
+    def raises(*args, **kwargs):
+        raise AssertionError("inference built a graph")
+
+    monkeypatch.setattr(tensor, "_make", raises)
+    monkeypatch.setattr(tensor, "no_grad", raises)
+    assert run() == want
 
 
 def test_evaluate_dev_empty_errors():
@@ -731,8 +758,11 @@ def test_resume_checks_train_state(tmp_path, monkeypatch, corrupt, entry):
 
     monkeypatch.setattr(trainer, "adam_step", no_step)
     tc = replace(tc, max_steps=4, out_dir=tmp_path / "resumed")
+    model = Seq2SeqTransformer(cfg, seed=1)
+    before = {name: p.data.copy() for name, p in model.parameters().items()}
     with pytest.raises(ValueError, match=re.escape(str(ckpt)) + ".*" + re.escape(repr(entry))):
-        train(Seq2SeqTransformer(cfg, seed=1), vocab, tc, data, resume_from=ckpt)
+        train(model, vocab, tc, data, resume_from=ckpt)
+    assert all(np.array_equal(p.data, before[name]) for name, p in model.parameters().items())
 
 
 def test_long_dev_source_is_cut_like_training_sources(tmp_path):
