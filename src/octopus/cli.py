@@ -15,7 +15,7 @@ import time
 from functools import partial
 from pathlib import Path
 
-from .decoding import DecodeConfig, generate, generate_batch
+from .decoding import DecodeConfig, generate_batch
 from .model import ModelConfig, Seq2SeqTransformer
 from .tasks import PREFIXES, normalize_prefix
 from .vocab import Vocabulary
@@ -238,7 +238,7 @@ def repl_loop(args: argparse.Namespace, stdin=None, stdout=None, stderr=None) ->
             except ValueError as e:
                 print(f"error: line {n}: {e}", file=stderr)
                 break
-            hyps = [vocab.decode(h.ids) for h in generate(model, vocab, source, cfg)]
+            hyps = _generate_all(model, vocab, [source], cfg, 1)[0]
             current = hyps[0]
         else:  # every stage decoded
             for j, hyp in enumerate(hyps, start=1):

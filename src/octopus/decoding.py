@@ -8,7 +8,6 @@ Each step decodes only the newest tokens against a `DecoderCache`.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -16,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import DecoderCache
+from .model import DecoderCache, check_counts, is_number
 
 StepFn = Callable[[tuple[int, ...]], np.ndarray]  # prefix -> log-prob vector
 # (parent row of each live row, each live row's prefix) -> (rows, V) log-probs
@@ -47,16 +46,11 @@ class DecodeConfig:
     def __post_init__(self):
         if self.method not in ("greedy", "beam", "sampling"):
             raise ValueError(f"unknown decoding method {self.method!r}")
-        for name, least in (("nbeam", None), ("max_outputs", 1), ("seq_length", 1),
-                            ("no_repeat_ngram_size", 0), ("top_k", 0), ("seed", None)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-            if least is not None and value < least:
-                raise ValueError(f"{name} must be >= {least}")
+        check_counts(self, {"nbeam": None, "max_outputs": 1, "seq_length": 1,
+                            "no_repeat_ngram_size": 0, "top_k": 0, "seed": 0})
         if self.method == "beam" and self.nbeam < self.max_outputs:
             raise ValueError("nbeam must be >= max_outputs for beam search")
-        if not 0.0 < self.top_p <= 1.0:
+        if not (is_number(self.top_p) and 0.0 < self.top_p <= 1.0):
             raise ValueError("top_p must be in (0, 1]")
 
 
@@ -91,11 +85,6 @@ def block_repeat_ngrams(logprobs: np.ndarray, history: Sequence[int], n: int) ->
     return out
 
 
-def _sorted_desc(probs: np.ndarray) -> np.ndarray:
-    """Indices by descending probability, ties broken by lower token id."""
-    return np.lexsort((np.arange(len(probs)), -probs))
-
-
 def sample_step(
     logprobs: np.ndarray, top_k: int, top_p: float, rng: np.random.Generator
 ) -> int:
@@ -110,7 +99,7 @@ def sample_step(
         raise ValueError("no tokens available to sample")
     probs = np.exp(lp - m)
     probs /= probs.sum()
-    order = _sorted_desc(probs)
+    order = np.argsort(-probs, kind="stable")  # ties to the lower token id
     if top_k and top_k > 0:
         order = order[:top_k]
     if top_p < 1.0:
@@ -197,6 +186,11 @@ def _search(step: BatchStep, n_searches: int, width: int, max_len: int, eos_id: 
     return pools
 
 
+def _per_prefix(step_fn: StepFn) -> BatchStep:
+    """The `BatchStep` that calls step_fn on each live row's prefix."""
+    return lambda parents, prefixes: np.stack([step_fn(p) for p in prefixes])
+
+
 def beam_search(step_fn: StepFn, nbeam: int, max_len: int, eos_id: int,
                 blocker=None) -> list[Hypothesis]:
     """Breadth-limited best-first search over a prefix -> log-probs
@@ -204,8 +198,7 @@ def beam_search(step_fn: StepFn, nbeam: int, max_len: int, eos_id: int,
     (`_beam_choose`); the search ends as `_search` describes."""
     if nbeam < 1:
         raise ValueError("nbeam must be >= 1")
-    step = lambda parents, prefixes: np.stack([step_fn(p) for p in prefixes])  # noqa: E731
-    return _search(step, 1, nbeam, max_len, eos_id, blocker)[0]
+    return _search(_per_prefix(step_fn), 1, nbeam, max_len, eos_id, blocker)[0]
 
 
 def greedy_search(step_fn: StepFn, max_len: int, eos_id: int, blocker=None) -> Hypothesis:
@@ -216,10 +209,9 @@ def greedy_search(step_fn: StepFn, max_len: int, eos_id: int, blocker=None) -> H
 def sampling_search(step_fn: StepFn, cfg: DecodeConfig, eos_id: int,
                     draw_index: int) -> Hypothesis:
     """One independent sampled sequence, reproducible per (seed, draw)."""
-    step = lambda parents, prefixes: np.stack([step_fn(p) for p in prefixes])  # noqa: E731
     choose = partial(_sample_choose, cfg=cfg, rngs=[np.random.default_rng((cfg.seed, draw_index))])
     blocker = _blocker(cfg.no_repeat_ngram_size)
-    return _search(step, 1, 1, cfg.seq_length, eos_id, blocker, choose)[0][0]
+    return _search(_per_prefix(step_fn), 1, 1, cfg.seq_length, eos_id, blocker, choose)[0][0]
 
 
 def _cached_step(model, pad_id: int, cache: DecoderCache, parents: np.ndarray,

@@ -200,9 +200,6 @@ class EditSet:
             prev_end = max(end, start)
         self.edits = normed
 
-    def __len__(self):
-        return len(self.edits)
-
     def apply(self, source_tokens: list[str]) -> list[str]:
         out: list[str] = []
         cursor = 0

@@ -19,6 +19,22 @@ from .tensor import Tensor
 CHECKPOINT_MAGIC = b"OCTO1"
 
 
+def is_number(value, kind=numbers.Real) -> bool:
+    """isinstance(value, kind), except that a bool is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_counts(config, least: dict[str, int | None]):
+    """ValueError naming the first integer field of config that is not an
+    integer, or is below its least value (None: no bound)."""
+    for name, bound in least.items():
+        value = getattr(config, name)
+        if not is_number(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+        if bound is not None and value < bound:
+            raise ValueError(f"{name} must be >= {bound}")
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -33,14 +49,12 @@ class ModelConfig:
     max_seq_len: int = 128
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_heads", "d_ff", "n_enc_layers", "n_dec_layers",
-                     "relpos_num_buckets", "relpos_max_distance", "max_seq_len"):
-            value, least = getattr(self, name), 0 if name.endswith("layers") else 1
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}")
+        check_counts(self, {name: 0 if name.endswith("layers") else 1 for name in (
+            "vocab_size", "d_model", "n_heads", "d_ff", "n_enc_layers", "n_dec_layers",
+            "relpos_num_buckets", "relpos_max_distance", "max_seq_len")})
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if not (isinstance(self.dropout_rate, numbers.Real) and 0.0 <= self.dropout_rate < 1.0):
+        if not (is_number(self.dropout_rate) and 0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
         # relative_position_bucket needs an exact region and a log region in each direction
         if self.relpos_num_buckets % 2 or self.relpos_num_buckets < 4 \
@@ -336,12 +350,10 @@ class Seq2SeqTransformer:
         return p if ops is T else p.data
 
     def _relpos_bias(self, ops, stack: str, start: int, end: int):
-        """Bias for query positions start..end over keys 0..end, sliced from
-        one bucket matrix per stack."""
+        """(H, q, k) bias for query positions start..end over keys 0..end:
+        the stack's (H, num_buckets) table gathered at one bucket matrix."""
         buckets = self._buckets[stack][start:end, :end]
-        by_bucket = ops.transpose(self._param(ops, f"{stack}.relpos"), (1, 0))  # (num_buckets, H)
-        bias = ops.transpose(ops.take(by_bucket, buckets), (2, 0, 1))  # (q, k, H) -> (H, q, k)
-        return ops.reshape(bias, (1,) + bias.shape)
+        return ops.take(self._param(ops, f"{stack}.relpos"), buckets, 1)
 
     def _attention(self, ops, x_q, x_kv, base: str, mask_add: np.ndarray | None, bias,
                    rng: np.random.Generator | None, cache: DecoderCache | None = None):

@@ -145,9 +145,6 @@ class Seq2SeqBatch:
     target_ids: np.ndarray
     pad_id: int = 0
 
-    def __len__(self) -> int:
-        return self.enc_ids.shape[0]
-
 
 def batch_from_ids(
     pairs: list[tuple[list[int], list[int]]], vocab: Vocabulary, max_len: int

@@ -37,8 +37,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         if dtype is None:
             dtype = np.float32
         self.data = np.asarray(data, dtype=dtype)
@@ -71,8 +69,8 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def sum(self, axis=None):
-        return tensor_sum(self, axis)
+    def sum(self):
+        return tensor_sum(self)
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -179,15 +177,15 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _make(data, (x,), vjp)
 
 
-def take(x: Tensor, indices) -> Tensor:
-    """Gather rows along axis 0; the gradient scatter-adds back."""
+def take(x: Tensor, indices, axis: int = 0) -> Tensor:
+    """Gather along axis 0 or 1; the gradient scatter-adds back."""
     x = _as_tensor(x)
-    idx = np.asarray(indices)
-    data = x.data[idx]
+    at = (slice(None),) * axis + (np.asarray(indices),)
+    data = x.data[at]
 
     def vjp(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx.reshape(-1), g.reshape(-1, *x.data.shape[1:]))
+        np.add.at(gx, at, g)
         return (gx,)
 
     return _make(data, (x,), vjp)
@@ -335,17 +333,14 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     return _make(data, (x, gain), vjp)
 
 
-def tensor_sum(x: Tensor, axis=None) -> Tensor:
+def tensor_sum(x: Tensor) -> Tensor:
+    """The sum of every element, a scalar."""
     x = _as_tensor(x)
-    data = x.data.sum(axis=axis)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype),)
-        gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, x.data.shape).astype(x.data.dtype),)
+        return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype),)
 
-    return _make(np.asarray(data), (x,), vjp)
+    return _make(np.asarray(x.data.sum()), (x,), vjp)
 
 
 def cross_entropy(logits: Tensor, targets, ignore_id: int = -100) -> Tensor:
@@ -391,9 +386,9 @@ def cross_entropy(logits: Tensor, targets, ignore_id: int = -100) -> Tensor:
 # signatures: the op set of a forward that builds no graph (cached decoding).
 array_ops = SimpleNamespace(
     add=np.add, mul=np.multiply, matmul=np.matmul, relu=lambda x: np.maximum(x, 0),
-    reshape=lambda x, shape: x.reshape(shape), transpose=lambda x, axes: x.transpose(axes),
-    take=lambda x, indices: x[indices], rms_norm=lambda x, gain: _rms_norm(x, gain)[0],
-    attention=lambda *args: _attend(*args)[0])
+    transpose=lambda x, axes: x.transpose(axes),
+    take=lambda x, indices, axis=0: np.take(x, indices, axis),
+    rms_norm=lambda x, gain: _rms_norm(x, gain)[0], attention=lambda *args: _attend(*args)[0])
 
 
 def _freed(g):

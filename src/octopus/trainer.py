@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import shutil
 import time
@@ -23,7 +22,8 @@ import numpy as np
 
 from .decoding import DecodeConfig, generate_batch
 from .metrics import EditSet, score_task
-from .model import ModelConfig, Seq2SeqTransformer, load_checkpoint, save_checkpoint
+from .model import (ModelConfig, Seq2SeqTransformer, check_counts, is_number, load_checkpoint,
+                    save_checkpoint)
 from .objectives import Seq2SeqBatch, batch_from_ids, check_sentinels, corrupt_spans, make_batch
 from .optim import AdamState, adam_step
 from .tasks import REGISTRY, Example, TaskSpec, normalize_prefix
@@ -50,20 +50,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        for name, least in (("batch_size", 1), ("max_steps", 1), ("eval_every", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}")
-        if not 0 < self.learning_rate < math.inf:
+        check_counts(self, {"batch_size": 1, "max_steps": 1, "eval_every": 0, "seed": 0})
+        if not (is_number(self.learning_rate) and 0 < self.learning_rate < math.inf):
             raise ValueError("learning_rate must be positive and finite")
-        if not 0.0 <= self.labeled_fraction <= 1.0:
+        if not (is_number(self.labeled_fraction) and 0.0 <= self.labeled_fraction <= 1.0):
             raise ValueError("labeled_fraction must be in [0, 1]")
         if self.task_weights is not None:
             weights = {normalize_prefix(name): w for name, w in self.task_weights.items()}
             if len(weights) != len(self.task_weights):
                 raise ValueError(f"two mixing weights name one task: {sorted(self.task_weights)}")
             for name, w in weights.items():
-                if not (w > 0 and math.isfinite(w)):
+                if not (is_number(w) and w > 0 and math.isfinite(w)):
                     raise ValueError(f"mixing weight for {name!r} must be positive and finite")
             self.task_weights = weights
 

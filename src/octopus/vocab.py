@@ -52,9 +52,6 @@ class Vocabulary:
         }
         self.vocab_size = _NUM_RESERVED + len(self._tokens) + sentinels
 
-    def __len__(self) -> int:
-        return self.vocab_size
-
     @property
     def pad_id(self) -> int:
         return PAD_ID

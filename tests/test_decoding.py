@@ -24,15 +24,24 @@ def test_config_validation():
         DecodeConfig(seq_length=0)
     with pytest.raises(ValueError, match="nbeam must be >= max_outputs"):
         replace(cfg, max_outputs=6)
+    # numpy would reject a negative seed only at the first draw, naming no field
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        DecodeConfig("sampling", seed=-1)
 
 
-@pytest.mark.parametrize("value", [5.0, 2.5, "5"])
+@pytest.mark.parametrize("value", [5.0, 2.5, "5", True])
 @pytest.mark.parametrize("field", ["nbeam", "max_outputs", "seq_length", "no_repeat_ngram_size",
                                    "top_k", "seed"])
 def test_config_rejects_non_integer_counts(field, value):
     # each value passes the range checks, or failed them with a bare TypeError
     with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
         DecodeConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", ["0.9", True])
+def test_config_rejects_a_non_number_top_p(value):
+    with pytest.raises(ValueError, match=r"^top_p must be in \(0, 1\]$"):
+        DecodeConfig("sampling", top_p=value)
 
 
 def test_sampling_config_rejects_top_p_zero():

@@ -15,6 +15,7 @@ from octopus.metrics import (
     m2_f05_corpus,
     macro_scores,
     rouge_l,
+    score_task,
     token_f1,
 )
 
@@ -239,3 +240,10 @@ def test_diacritization_fidelity_one_of_four_altered():
 
 def test_diacritization_fidelity_empty_hypothesis():
     assert diacritization_fidelity("bnr", "", set("aeiou")) == 0.0
+
+
+def test_score_task_rejects_an_unknown_metric_and_f05_without_gold_edits():
+    with pytest.raises(ValueError, match="unknown metric 'meteor'"):
+        score_task("meteor", ["a"], ["a"])
+    with pytest.raises(ValueError, match="f05_m2 scoring needs sources and gold edit sets"):
+        score_task("f05_m2", ["a b"], ["a b"], sources=["b a"])

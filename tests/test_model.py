@@ -32,6 +32,19 @@ def test_config_validation():
             ModelConfig(vocab_size=10, relpos_num_buckets=buckets, relpos_max_distance=distance)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_heads", True, "^n_heads must be an integer$"),
+    ("d_ff", 16.0, "^d_ff must be an integer$"),
+    ("n_enc_layers", -1, "^n_enc_layers must be >= 0$"),
+    ("max_seq_len", 0, "^max_seq_len must be >= 1$"),
+    ("dropout_rate", False, r"^dropout_rate must be in \[0, 1\)$"),
+    ("dropout_rate", "0.1", r"^dropout_rate must be in \[0, 1\)$"),
+])
+def test_config_rejects_bad_numbers(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(**{"vocab_size": 10, "d_model": 4, field: value})
+
+
 def test_init_params_layout_is_pinned():
     # names in checkpoint order and values at fixed positions, so a change to
     # the block layout code cannot reorder rng draws or checkpoint entries unseen

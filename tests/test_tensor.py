@@ -158,7 +158,8 @@ def test_softmax_cross_entropy_grad_identity():
     assert np.allclose(logits.grad, expect, atol=1e-9)
 
 
-@pytest.mark.parametrize("op_name", ["matmul", "softmax", "rms_norm", "take", "relu", "add_mul"])
+@pytest.mark.parametrize("op_name", ["matmul", "softmax", "rms_norm", "take", "take_axis1", "relu",
+                                     "add_mul"])
 def test_ops_match_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**31)
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
@@ -178,6 +179,10 @@ def test_ops_match_finite_differences(op_name):
         idx = np.array([[0, 2], [1, 1]])
         loss_fn = lambda: float((T.take(Tensor(x.data, dtype=np.float64), idx) * 2.0).sum().data)
         out = (T.take(x, idx) * 2.0).sum()
+    elif op_name == "take_axis1":  # (3, 4) -> (3, 3, 2), a repeated column and an unread one
+        idx, w = np.array([[3, 0], [1, 3], [3, 3]]), np.arange(18.0).reshape(3, 3, 2)
+        loss_fn = lambda: float((T.take(Tensor(x.data, dtype=np.float64), idx, 1) * w).sum().data)
+        out = (T.take(x, idx, 1) * w).sum()
     elif op_name == "relu":
         loss_fn = lambda: float(T.relu(Tensor(x.data, dtype=np.float64)).sum().data)
         out = T.relu(x).sum()

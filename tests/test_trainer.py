@@ -21,8 +21,9 @@ from octopus import (
     select_best_checkpoint,
     train,
 )
+from octopus.metrics import EditSet, bleu, cer_corpus, m2_f05_corpus, rouge_l_corpus, token_f1_corpus
 from octopus.trainer import CheckpointMeta
-from octopus.tasks import synth_cipher, synth_devowel, task_for_prefix, Example
+from octopus.tasks import synth_cipher, synth_devowel, synth_gec, task_for_prefix, Example
 from octopus.vocab import build_vocab
 
 
@@ -53,11 +54,25 @@ def test_config_rejects_bad_values(field):
         TrainConfig(**{"strategy": "single_task", "max_steps": 5, **field})
 
 
-@pytest.mark.parametrize("value", [3.0, 3.5, "3"])
+@pytest.mark.parametrize("value", [3.0, 3.5, "3", True])
 @pytest.mark.parametrize("field", ["batch_size", "max_steps", "eval_every", "seed"])
 def test_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         TrainConfig(**{"strategy": "single_task", "max_steps": 5, field: value})
+
+
+@pytest.mark.parametrize("field, message", [
+    (dict(learning_rate="1e-3"), "^learning_rate must be positive and finite$"),
+    (dict(learning_rate=True), "^learning_rate must be positive and finite$"),
+    (dict(labeled_fraction="0.5"), r"^labeled_fraction must be in \[0, 1\]$"),
+    (dict(labeled_fraction=True), r"^labeled_fraction must be in \[0, 1\]$"),
+    (dict(task_weights={"paraphrase": "1"}), "^mixing weight for 'paraphrase' must be positive"),
+    (dict(task_weights={"paraphrase": True}), "^mixing weight for 'paraphrase' must be positive"),
+], ids=["lr_str", "lr_bool", "fraction_str", "fraction_bool", "weight_str", "weight_bool"])
+def test_config_rejects_non_number_reals(field, message):
+    # a string would otherwise fail its range comparison with a bare TypeError
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{"strategy": "joint", "max_steps": 2, **field})
 
 
 def test_config_rejects_bad_weights():
@@ -605,6 +620,41 @@ def test_evaluate_dev_equals_direct_metric_on_dumped_pairs():
     max_ref = max(len(vocab.encode(ex.target)) for ex in examples)
     hyp = [vocab.decode(o) for o in greedy_decode_batch(model, vocab, sources, max_ref + 8)]
     assert score == score_task("cer", hyp, [ex.target for ex in examples])
+
+
+_SENTENCES = ["the cat sees a dog", "a bird likes the fish", "the horse finds a mouse",
+              "a dog chases the cat"]
+
+
+def _dev_set(prefix):
+    if prefix == "correct_grammar":
+        return synth_gec(4, seed=0)
+    if prefix == "answer_question":
+        return [Example(task=prefix, target=" ".join(t.split()[:2]), question="who", context=t)
+                for t in _SENTENCES]
+    return [Example(task=prefix, source=t[::-1], target=t) for t in _SENTENCES]
+
+
+@pytest.mark.parametrize("metric, prefix", [
+    ("cer", "diacritize"), ("bleu", "paraphrase"), ("rouge_l", "summarize"),
+    ("token_f1", "answer_question"), ("f05_m2", "correct_grammar")])
+def test_evaluate_dev_scores_each_metric_with_its_corpus_function(metric, prefix):
+    dev = _dev_set(prefix)
+    assert task_for_prefix(prefix).metric == metric
+    # every other output drops its last word, so no score is perfect
+    hyps = [ex.target if i % 2 else ex.target.rsplit(" ", 1)[0] for i, ex in enumerate(dev)]
+    vocab = build_vocab([ex.model_source + " " + ex.target for ex in dev], max_size=200,
+                        sentinels=4)
+    model = _ScriptedModel(vocab, {tuple(vocab.encode(ex.model_source)): vocab.encode(hyp)
+                                   for ex, hyp in zip(dev, hyps)})
+    if metric == "f05_m2":
+        want = m2_f05_corpus([ex.source for ex in dev], hyps, [EditSet(ex.gold_edits) for ex in dev])
+    else:
+        corpus_metric = {"cer": cer_corpus, "bleu": bleu, "rouge_l": rouge_l_corpus,
+                         "token_f1": token_f1_corpus}[metric]
+        want = corpus_metric(hyps, [ex.target for ex in dev])
+    assert want not in (0.0, 100.0)
+    assert evaluate_dev(model, vocab, dev, task_for_prefix(prefix)) == want
 
 
 def test_decoding_builds_no_graph(monkeypatch):
