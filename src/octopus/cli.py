@@ -13,12 +13,10 @@ import argparse
 import sys
 import time
 from functools import partial
-from pathlib import Path
 
-from .decoding import DecodeConfig, generate_batch
-from .model import ModelConfig, Seq2SeqTransformer
+from .decoding import DecodeConfig, generate_batch, max_output_len
+from .model import load_toolkit
 from .tasks import PREFIXES, normalize_prefix
-from .vocab import Vocabulary
 
 DEFAULT_MODEL_PATH = "./checkpoints/best"
 INTERACTIVE_SEQ_LENGTH = 300  # interactive preset; batch default stays 2048
@@ -79,19 +77,6 @@ def parse_args(argv: list[str], mode: str = "batch", prog: str = "octopus") -> a
     return ns
 
 
-def load_toolkit(model_path: str) -> tuple[Seq2SeqTransformer, Vocabulary]:
-    """Load a checkpoint directory written by the trainer."""
-    root = Path(model_path)
-    config = ModelConfig.from_json((root / "config.json").read_text(encoding="utf-8"))
-    vocab = Vocabulary.load(root / "vocab.txt")
-    if vocab.vocab_size != config.vocab_size:
-        raise ValueError(f"the vocabulary has {vocab.vocab_size} ids "
-                         f"but the model has {config.vocab_size}")
-    model = Seq2SeqTransformer(config)
-    model.load(root / "model.octo")
-    return model, vocab
-
-
 def _encode(model, vocab, prefix: str, text: str, what: str = "input") -> list[int]:
     """Source ids of one input; ValueError if the model cannot take them."""
     ids, limit = vocab.encode(f"{prefix}: {text}"), model.config.max_seq_len
@@ -109,7 +94,7 @@ def _setup(args: argparse.Namespace, stderr):
     except (OSError, ValueError) as e:
         print(f"error: cannot load model from {args.model_path}: {e}", file=stderr)
         return 1
-    limit = model.config.max_seq_len - 1  # the decoder context holds the start token too
+    limit = max_output_len(model)
     if args.seq_length > limit:
         print(f"warning: -s {args.seq_length} exceeds this model's limit; "
               f"outputs stop at {limit} tokens", file=stderr)

@@ -46,7 +46,7 @@ class DecodeConfig:
     def __post_init__(self):
         if self.method not in ("greedy", "beam", "sampling"):
             raise ValueError(f"unknown decoding method {self.method!r}")
-        check_counts(self, {"nbeam": None, "max_outputs": 1, "seq_length": 1,
+        check_counts(self, {"nbeam": 1, "max_outputs": 1, "seq_length": 1,
                             "no_repeat_ngram_size": 0, "top_k": 0, "seed": 0})
         if self.method == "beam" and self.nbeam < self.max_outputs:
             raise ValueError("nbeam must be >= max_outputs for beam search")
@@ -226,6 +226,11 @@ def _cached_step(model, pad_id: int, cache: DecoderCache, parents: np.ndarray,
     return lp - np.log(np.exp(lp).sum(axis=-1, keepdims=True))
 
 
+def max_output_len(model) -> int:
+    """The most tokens a decode of model generates: its context also holds the start token."""
+    return model.config.max_seq_len - 1
+
+
 def generate_batch(model, vocab, sources: list[list[int]], cfg: DecodeConfig,
                    batch_size: int = 8) -> list[list[Hypothesis]]:
     """Decode many sources with the configured method, in input order.
@@ -244,8 +249,7 @@ def generate_batch(model, vocab, sources: list[list[int]], cfg: DecodeConfig,
     for i, source in enumerate(sources):
         if len(source) == 0:
             raise ValueError(f"source {i} is empty; a source needs at least one token")
-    # the decoder context holds the start token plus the generated prefix
-    max_len = min(cfg.seq_length, model.config.max_seq_len - 1)
+    max_len = min(cfg.seq_length, max_output_len(model))
     blocker = _blocker(cfg.no_repeat_ngram_size)
     # searches per source, the width of each, and the hypotheses kept per search
     draws = cfg.max_outputs if cfg.method == "sampling" else 1

@@ -10,13 +10,16 @@ import math
 import numbers
 import struct
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+from .vocab import Vocabulary
 
 CHECKPOINT_MAGIC = b"OCTO1"
+MODEL_FILE, VOCAB_FILE, CONFIG_FILE = "model.octo", "vocab.txt", "config.json"  # toolkit files
 
 
 def is_number(value, kind=numbers.Real) -> bool:
@@ -24,14 +27,14 @@ def is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def check_counts(config, least: dict[str, int | None]):
+def check_counts(config, least: dict[str, int]):
     """ValueError naming the first integer field of config that is not an
-    integer, or is below its least value (None: no bound)."""
+    integer, or is below its least value."""
     for name, bound in least.items():
         value = getattr(config, name)
         if not is_number(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer")
-        if bound is not None and value < bound:
+        if value < bound:
             raise ValueError(f"{name} must be >= {bound}")
 
 
@@ -329,9 +332,7 @@ class Seq2SeqTransformer:
     # ---- forward pieces ----
 
     def _dropout(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
-        if rng is None or self.config.dropout_rate == 0.0:
-            return x
-        return T.dropout(x, self.config.dropout_rate, rng)
+        return x if rng is None else T.dropout(x, self.config.dropout_rate, rng)
 
     def _checked_ids(self, ids, name: str) -> np.ndarray:
         """ids as an int64 array, checked against the vocabulary and max_seq_len."""
@@ -481,3 +482,24 @@ class Seq2SeqTransformer:
         b, t, v = logits.shape
         flat = T.reshape(logits, (b * t, v))
         return T.cross_entropy(flat, batch.target_ids.reshape(-1), ignore_id=batch.pad_id)
+
+
+def save_toolkit(path, model: Seq2SeqTransformer, vocab: Vocabulary):
+    """Write the model, its vocabulary and its config into the directory path."""
+    root = Path(path)
+    model.save(root / MODEL_FILE)
+    vocab.save(root / VOCAB_FILE)
+    (root / CONFIG_FILE).write_text(model.config.to_json(), encoding="utf-8")
+
+
+def load_toolkit(path) -> tuple[Seq2SeqTransformer, Vocabulary]:
+    """The model and vocabulary of a `save_toolkit` directory, such as a checkpoint."""
+    root = Path(path)
+    config = ModelConfig.from_json((root / CONFIG_FILE).read_text(encoding="utf-8"))
+    vocab = Vocabulary.load(root / VOCAB_FILE)
+    if vocab.vocab_size != config.vocab_size:
+        raise ValueError(f"the vocabulary has {vocab.vocab_size} ids "
+                         f"but the model has {config.vocab_size}")
+    model = Seq2SeqTransformer(config)
+    model.load(root / MODEL_FILE)
+    return model, vocab

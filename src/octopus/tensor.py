@@ -201,19 +201,22 @@ def relu(x: Tensor) -> Tensor:
     return _make(data, (x,), vjp)
 
 
+def _drop(x: np.ndarray, rate: float, keep: np.ndarray | None = None,
+          rng: np.random.Generator | None = None):
+    """Inverted dropout of an array: (x * keep / (1 - rate), keep), with the
+    bool keep mask (a quarter of a float32 mask) drawn from rng unless given."""
+    if keep is None:
+        keep = rng.random(x.shape) >= rate
+    return x * keep * x.dtype.type(1.0 / (1.0 - rate)), keep
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout with a keep mask drawn from rng."""
     if rate <= 0.0:
         return x
     x = _as_tensor(x)
-    keep = rng.random(x.data.shape) >= rate  # bool: a quarter of a float32 mask
-    scale = 1.0 / (1.0 - rate)
-    data = x.data * keep * x.data.dtype.type(scale)
-
-    def vjp(g):
-        return (g * keep * scale,)
-
-    return _make(data, (x,), vjp)
+    data, keep = _drop(x.data, rate, rng=rng)
+    return _make(data, (x,), lambda g: (_drop(g, rate, keep)[0],))
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -257,8 +260,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, scale: floa
     if mask_add is not None:
         scores += np.asarray(mask_add, dtype=dt)
     p = _softmax(scores, -1)
-    keep = rng.random(p.shape) >= rate if rate > 0.0 else None
-    w = p if keep is None else p * keep * dt.type(1.0 / (1.0 - rate))
+    w, keep = _drop(p, rate, rng=rng) if rate > 0.0 else (p, None)
     return np.matmul(w, v).transpose(0, 2, 1, 3).reshape(shape), p, keep
 
 
@@ -286,14 +288,13 @@ def attention(q, k, v, heads: int, scale: float, bias=None, mask_add=None,
                            None if bias is None else bias.data, mask_add, rate, rng)
 
     def vjp(g):
-        dt = q.data.dtype
-        s, drop_scale = dt.type(scale), 1.0 / (1.0 - rate)
+        s = q.data.dtype.type(scale)
         qh, kh, vh, g = (_split(x, heads) for x in (q.data, k.data, v.data, g))
-        w = p if keep is None else p * keep * dt.type(drop_scale)
+        w = p if keep is None else _drop(p, rate, keep)[0]
         gw = np.matmul(g, np.swapaxes(vh, -1, -2))
         gv = np.matmul(np.swapaxes(w, -1, -2), g)
         if keep is not None:
-            gw = gw * keep * drop_scale
+            gw = _drop(gw, rate, keep)[0]
         gs = _softmax_vjp(gw, p, -1)
         gq = np.matmul(gs, kh) * s
         gk = np.swapaxes(np.matmul(np.swapaxes(qh * s, -1, -2), gs), -1, -2)

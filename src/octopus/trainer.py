@@ -22,8 +22,8 @@ import numpy as np
 
 from .decoding import DecodeConfig, generate_batch
 from .metrics import EditSet, score_task
-from .model import (ModelConfig, Seq2SeqTransformer, check_counts, is_number, load_checkpoint,
-                    save_checkpoint)
+from .model import (CONFIG_FILE, VOCAB_FILE, Seq2SeqTransformer, check_counts, is_number,
+                    load_checkpoint, load_toolkit, save_checkpoint, save_toolkit)
 from .objectives import Seq2SeqBatch, batch_from_ids, check_sentinels, corrupt_spans, make_batch
 from .optim import AdamState, adam_step
 from .tasks import REGISTRY, Example, TaskSpec, normalize_prefix
@@ -205,73 +205,60 @@ def _denoise_batch(text_ids: list[list[int]], vocab: Vocabulary, rng: np.random.
     return batch_from_ids([corrupt_spans(text_ids[i], vocab, rng) for i in idx], vocab, max_len)
 
 
-class _Trainer:
-    def __init__(self, model: Seq2SeqTransformer, vocab: Vocabulary,
-                 cfg: TrainConfig, data: Datasets):
-        self.model = model
-        self.vocab = vocab
-        self.cfg = cfg
-        self.data = data
-        self.max_len = model.config.max_seq_len
-        # share of labeled steps: pretrain and multitask are the joint mix at 0 and 1
-        self.labeled = {"pretrain": 0.0, "multitask": 1.0}.get(cfg.strategy, cfg.labeled_fraction)
-        self.text_ids: list[list[int]] = []  # each unlabeled text encoded once, cut to max_len
-        self._validate_data()
-        self.mixer = None
-        if cfg.strategy != "single_task" and self.labeled > 0:
-            self.mixer = TaskMixer({td.task: td.train for td in data.tasks},
-                                   weights=cfg.task_weights, batch_size=cfg.batch_size)
+def _batch_rule(vocab: Vocabulary, cfg: TrainConfig, data: Datasets, max_len: int):
+    """Check the run's data before step 0 and return its step -> batch
+    function. single_task walks epochs in order; every other strategy mixes
+    labeled and denoising steps. The branch draw uses its own stream, so
+    the data draws of a labeled share of 0 match pretraining, and of 1
+    multitask, bit for bit."""
+    names = [td.task for td in data.tasks]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"two labeled sets for task {name!r}; merge them into one")
 
-    def _validate_data(self):
-        data = self.data
-        names = [td.task for td in data.tasks]
-        for name in names:
-            if names.count(name) > 1:
-                raise ValueError(f"two labeled sets for task {name!r}; merge them into one")
-        if self.cfg.strategy == "single_task":
-            if len(data.tasks) != 1 or not data.tasks[0].train:
-                raise ValueError("single_task training needs exactly one labeled set")
-            return
-        if self.labeled < 1:
-            if not data.texts:
-                raise ValueError(f"{self.cfg.strategy} training with unlabeled steps "
-                                 "needs unlabeled texts")
-            check_sentinels(self.vocab)
-            for i, text in enumerate(data.texts):
-                ids = self.vocab.encode(text)[:self.max_len]
-                if not ids:
-                    raise ValueError(f"unlabeled text {i} encodes to no tokens")
-                self.text_ids.append(ids)
-        if self.labeled > 0 and (not data.tasks or any(not td.train for td in data.tasks)):
-            raise ValueError(f"{self.cfg.strategy} training with labeled steps "
+    def labeled_batch(examples: list[Example]) -> Seq2SeqBatch:
+        return make_batch([(ex.model_source, ex.target) for ex in examples], vocab, max_len)
+
+    if cfg.strategy == "single_task":
+        if len(data.tasks) != 1 or not data.tasks[0].train:
+            raise ValueError("single_task training needs exactly one labeled set")
+        pool, size = data.tasks[0].train, cfg.batch_size
+
+        def epoch_batch(step: int) -> Seq2SeqBatch:
+            epoch, pos = divmod(step, math.ceil(len(pool) / size))
+            perm = np.random.default_rng((cfg.seed, _EPOCH, epoch)).permutation(len(pool))
+            return labeled_batch([pool[i] for i in perm[pos * size:(pos + 1) * size]])
+
+        return epoch_batch
+
+    # share of labeled steps: pretrain and multitask are the joint mix at 0 and 1
+    labeled = {"pretrain": 0.0, "multitask": 1.0}.get(cfg.strategy, cfg.labeled_fraction)
+    text_ids: list[list[int]] = []  # each unlabeled text encoded once, cut to max_len
+    if labeled < 1:
+        if not data.texts:
+            raise ValueError(f"{cfg.strategy} training with unlabeled steps "
+                             "needs unlabeled texts")
+        check_sentinels(vocab)
+        for i, text in enumerate(data.texts):
+            ids = vocab.encode(text)[:max_len]
+            if not ids:
+                raise ValueError(f"unlabeled text {i} encodes to no tokens")
+            text_ids.append(ids)
+    mixer = None
+    if labeled > 0:
+        if not data.tasks or any(not td.train for td in data.tasks):
+            raise ValueError(f"{cfg.strategy} training with labeled steps "
                              "needs non-empty labeled sets")
+        mixer = TaskMixer({td.task: td.train for td in data.tasks},
+                          weights=cfg.task_weights, batch_size=cfg.batch_size)
 
-    # batches -----------------------------------------------------------
-
-    def build_batch(self, step: int) -> Seq2SeqBatch:
-        """single_task walks epochs in order; every other strategy mixes
-        labeled and denoising steps. The branch draw uses its own stream, so
-        the data draws of a labeled share of 0 match pretraining, and of 1
-        multitask, bit for bit."""
-        if self.cfg.strategy == "single_task":
-            return self._single_task_batch(step)
-        cfg = self.cfg
+    def mixed_batch(step: int) -> Seq2SeqBatch:
         rng = np.random.default_rng((cfg.seed, step, _DATA))
-        branch = np.random.default_rng((cfg.seed, step, _BRANCH))
-        if branch.random() < self.labeled:
-            return self._labeled_batch(sample_task_batch(self.mixer, rng)[1])
-        return _denoise_batch(self.text_ids, self.vocab, rng, cfg.batch_size, self.max_len)
+        if np.random.default_rng((cfg.seed, step, _BRANCH)).random() < labeled:
+            return labeled_batch(sample_task_batch(mixer, rng)[1])
+        return _denoise_batch(text_ids, vocab, rng, cfg.batch_size, max_len)
 
-    def _labeled_batch(self, examples: list[Example]) -> Seq2SeqBatch:
-        return make_batch([(ex.model_source, ex.target) for ex in examples], self.vocab,
-                          self.max_len)
-
-    def _single_task_batch(self, step: int) -> Seq2SeqBatch:
-        td, size = self.data.tasks[0], self.cfg.batch_size
-        epoch, pos = divmod(step, math.ceil(len(td.train) / size))
-        perm = np.random.default_rng((self.cfg.seed, _EPOCH, epoch)).permutation(len(td.train))
-        idx = perm[pos * size:(pos + 1) * size]
-        return self._labeled_batch([td.train[i] for i in idx])
+    return mixed_batch
 
 
 def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
@@ -283,7 +270,7 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
     final "best" copy chosen by select_best_checkpoint. Both logs are first
     cut back to the run's start step, 0 unless resumed.
     """
-    runner = _Trainer(model, vocab, cfg, data)
+    build_batch = _batch_rule(vocab, cfg, data, model.config.max_seq_len)
     opt = AdamState.init(model.parameters(), cfg.learning_rate)
     start_step = 0
     if resume_from is not None:
@@ -300,7 +287,7 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
     window: list[float] = []
     for step in range(start_step, total):
         t0 = time.perf_counter()
-        batch = runner.build_batch(step)
+        batch = build_batch(step)
         model.zero_grads()
         loss = model.batch_loss(batch, rng=np.random.default_rng((cfg.seed, step, _DROPOUT)))
         loss_value = float(loss.data)
@@ -319,7 +306,7 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
             _append_line(out_dir / "loss_log.tsv", f"{step}\t{loss_value:.6f}\t{ms}")
         done = step + 1
         if (cfg.eval_every and done % cfg.eval_every == 0) or done == total:
-            metas.append(_eval_and_checkpoint(runner, opt, done, window, out_dir))
+            metas.append(_eval_and_checkpoint(model, vocab, data, opt, done, window, out_dir))
             window = []
 
     best = None
@@ -331,10 +318,10 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
     return TrainResult(losses, metas, best, str(out_dir) if out_dir else None)
 
 
-def _eval_and_checkpoint(runner: _Trainer, opt: AdamState, step: int,
-                         window: list[float], out_dir: Path | None) -> CheckpointMeta:
-    model, vocab = runner.model, runner.vocab
-    dev_td = next((td for td in runner.data.tasks if td.dev), None)
+def _eval_and_checkpoint(model: Seq2SeqTransformer, vocab: Vocabulary, data: Datasets,
+                         opt: AdamState, step: int, window: list[float],
+                         out_dir: Path | None) -> CheckpointMeta:
+    dev_td = next((td for td in data.tasks if td.dev), None)
     if dev_td is not None:
         spec = REGISTRY[dev_td.task]
         score = evaluate_dev(model, vocab, dev_td.dev, spec)
@@ -347,9 +334,7 @@ def _eval_and_checkpoint(runner: _Trainer, opt: AdamState, step: int,
         return CheckpointMeta(step, score, metric, direction, "")
 
     def fill(ckpt_dir: Path):
-        model.save(ckpt_dir / "model.octo")
-        vocab.save(ckpt_dir / "vocab.txt")
-        (ckpt_dir / "config.json").write_text(model.config.to_json(), encoding="utf-8")
+        save_toolkit(ckpt_dir, model, vocab)
         _save_train_state(ckpt_dir, opt, step)
 
     ckpt_dir = out_dir / f"step_{step:06d}"
@@ -455,13 +440,14 @@ def _load_train_state(ckpt_dir: Path, model: Seq2SeqTransformer, vocab: Vocabula
     model config and vocabulary, all or nothing; ValueError naming the
     checkpoint and the first config field that differs, the vocabulary, or
     the train state entry that is missing or mis-shaped."""
-    saved = asdict(ModelConfig.from_json((ckpt_dir / "config.json").read_text(encoding="utf-8")))
+    saved_model, saved_vocab = load_toolkit(ckpt_dir)
+    saved = asdict(saved_model.config)
     for name, value in asdict(model.config).items():
         if saved[name] != value:
-            raise ValueError(f"{ckpt_dir}: config.json has {name}={saved[name]!r}, "
+            raise ValueError(f"{ckpt_dir}: {CONFIG_FILE} has {name}={saved[name]!r}, "
                              f"but the model has {value!r}")
-    if vars(Vocabulary.load(ckpt_dir / "vocab.txt")) != vars(vocab):  # tokens, ids, sentinels
-        raise ValueError(f"{ckpt_dir}: vocab.txt is not the run's vocabulary")
+    if vars(saved_vocab) != vars(vocab):  # tokens, ids, sentinels
+        raise ValueError(f"{ckpt_dir}: {VOCAB_FILE} is not the run's vocabulary")
     meta = json.loads((ckpt_dir / "train_state.json").read_text(encoding="utf-8"))
     for key in ("step", "adam_step"):
         if not (isinstance(meta, dict) and type(meta.get(key)) is int and meta[key] >= 0):
@@ -473,7 +459,8 @@ def _load_train_state(ckpt_dir: Path, model: Seq2SeqTransformer, vocab: Vocabula
         if entry not in arrays or arrays[entry].shape != model.params[name].shape:
             raise ValueError(f"{ckpt_dir}: train state entry {entry!r} is missing "
                              f"or not of shape {model.params[name].shape}")
-    model.load(ckpt_dir / "model.octo")  # checks every tensor before it writes any
+    for name, p in model.params.items():
+        p.data = saved_model.params[name].data.astype(model.dtype)
     for moments, name, entry in entries:
         moments[name] = arrays[entry].astype(model.dtype)
     opt.step = meta["adam_step"]

@@ -109,7 +109,9 @@ def test_parse_args_batch_size_below_one_exits_2(mode, size, capsys):
     (["-s", "0"], "seq_length must be >= 1"),
     (["-k", "-1"], "top_k must be >= 0"),
     (["-ng", "-1"], "no_repeat_ngram_size must be >= 0"),
-], ids=["o9", "o0", "top_p0", "top_p1.5", "s0", "k-1", "ng-1"])
+    (["-m", "greedy", "-nb", "-3"], "nbeam must be >= 1"),
+    (["-m", "sampling", "-nb", "0", "-o", "1"], "nbeam must be >= 1"),
+], ids=["o9", "o0", "top_p0", "top_p1.5", "s0", "k-1", "ng-1", "greedy_nb-3", "sampling_nb0"])
 def test_parse_args_bad_decode_value_exits_2(mode, flags, message, tmp_path, capsys):
     # the model path does not exist: the flag is rejected before anything is read
     argv = {"batch": ["-p", "diacritize", "-t", "x"], "task": ["-t", "x"], "interactive": []}[mode]

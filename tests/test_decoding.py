@@ -29,6 +29,14 @@ def test_config_validation():
         DecodeConfig("sampling", seed=-1)
 
 
+@pytest.mark.parametrize("method", ["greedy", "beam", "sampling"])
+@pytest.mark.parametrize("nbeam", [0, -3])
+def test_config_rejects_nbeam_below_one_for_every_method(method, nbeam):
+    # greedy and sampling never read nbeam, but a width below one is still a bad value
+    with pytest.raises(ValueError, match="^nbeam must be >= 1$"):
+        DecodeConfig(method, nbeam=nbeam, max_outputs=1)
+
+
 @pytest.mark.parametrize("value", [5.0, 2.5, "5", True])
 @pytest.mark.parametrize("field", ["nbeam", "max_outputs", "seq_length", "no_repeat_ngram_size",
                                    "top_k", "seed"])

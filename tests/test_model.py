@@ -316,6 +316,20 @@ def test_checkpoint_malformed_manifest_names_the_file(tmp_path, blob):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("blob, length, message", [
+    (b"[]", 6, "is truncated: manifest cut short"),
+    (b'{"name": "x"}', 13, "has a malformed manifest"),
+    (b"3", 1, "has a malformed manifest"),
+], ids=["cut-short", "object", "number"])
+def test_checkpoint_manifest_checks_name_the_file(tmp_path, blob, length, message):
+    import struct
+
+    path = tmp_path / "bad.octo"
+    path.write_bytes(b"OCTO1" + struct.pack("<I", length) + blob)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} {message}$"):
+        load_checkpoint(path)
+
+
 def _biased_model():
     """float64 tiny model whose relative-position tables are not zero."""
     model = tiny_model(dtype=np.float64)
@@ -520,6 +534,17 @@ def test_model_load_rejects_tensors_the_model_lacks(tmp_path):
     with pytest.raises(ValueError, match="'decoder.block1.attn.norm'"):
         small.load(tmp_path / "m.octo")
     assert all(np.array_equal(p.data, before[name]) for name, p in small.params.items())
+
+
+def test_model_load_rejects_a_checkpoint_missing_a_parameter(tmp_path):
+    model = tiny_model(dtype=np.float32)
+    arrays = {name: p.data for name, p in model.params.items()}
+    del arrays["decoder.final_norm"]
+    save_checkpoint(tmp_path / "m.octo", arrays)
+    before = {name: p.data.copy() for name, p in model.params.items()}
+    with pytest.raises(ValueError, match="^checkpoint missing parameter 'decoder.final_norm'$"):
+        model.load(tmp_path / "m.octo")
+    assert all(np.array_equal(p.data, before[name]) for name, p in model.params.items())
 
 
 def test_model_load_of_a_mis_shaped_checkpoint_replaces_no_parameter(tmp_path):

@@ -106,6 +106,22 @@ def test_splice_tampered_target_errors(vocab):
         splice(inp, broken, vocab)
 
 
+@pytest.mark.parametrize("inp, tgt, message", [
+    ([-1], [-1, 3, -1, 4], "sentinel 0 appears twice in target"),
+    ([-2, -1], [-2, 3, -1, 4], "target sentinels out of order"),
+    ([-1, 5, -2], [-1, 3], "input sentinel 1 missing from target"),
+    ([-1], [-1, 3, -2, 4], "input and target sentinels disagree"),
+    ([-2, -1], [-1, 3, -2, 4], "input and target sentinels disagree"),
+], ids=["twice", "target_order", "missing", "unused", "input_order"])
+def test_splice_names_each_tampering(vocab, inp, tgt, message):
+    # -1 - i stands for sentinel i
+    def ids(seq):
+        return [vocab.sentinel(-1 - t) if t < 0 else t for t in seq]
+
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        splice(ids(inp), ids(tgt) + [vocab.eos_id], vocab)
+
+
 def test_masked_fraction_concentration(vocab):
     # length 512, r=0.15: average realized fraction within r +/- 0.1 r
     rng = np.random.default_rng(7)

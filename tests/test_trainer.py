@@ -42,6 +42,11 @@ def test_config_requires_exactly_one_budget():
         TrainConfig(strategy="pretrain")
 
 
+def test_config_rejects_an_unknown_strategy():
+    with pytest.raises(ValueError, match="^unknown strategy 'nope'$"):
+        TrainConfig(strategy="nope", max_steps=1)
+
+
 @pytest.mark.parametrize("field", [
     dict(max_steps=0),
     dict(eval_every=-2),
@@ -500,6 +505,18 @@ def test_mixer_singleton_always_sampled():
         name, batch = sample_task_batch(mixer, rng)
         assert name == "paraphrase"
         assert len(batch) == 2
+
+
+@pytest.mark.parametrize("sizes, weights, message", [
+    ({}, None, "^mixer needs at least one task pool$"),
+    ({"paraphrase": 1, "summarize": 0}, None, "^task 'summarize' has an empty pool$"),
+    ({"paraphrase": 1, "summarize": 1}, {"paraphrase": 1.0},
+     r"^missing mixing weights for \['summarize'\]$"),
+], ids=["no_pools", "empty_pool", "missing_weight"])
+def test_mixer_rejects_bad_pools_and_weights(sizes, weights, message):
+    ex = Example(task="paraphrase", source="x", target="y")
+    with pytest.raises(ValueError, match=message):
+        TaskMixer({name: [ex] * n for name, n in sizes.items()}, weights=weights)
 
 
 def test_mixer_rejects_a_weight_for_a_task_without_a_set():
