@@ -178,8 +178,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a save_checkpoint file; a truncated or malformed file raises
-    ValueError naming what is wrong."""
+    """Read a save_checkpoint file; a truncated or malformed file, or tensors
+    that do not tile its payload, raise ValueError naming what is wrong."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -199,6 +199,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if not isinstance(manifest, list):
         raise ValueError(f"{path} has a malformed manifest")
     arrays = {}
+    end = 0  # the tensors tile the payload: each starts where the one before it ends
     for entry in manifest:
         try:
             name, start = entry["name"], entry["offset"]
@@ -208,12 +209,15 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 raise TypeError("the tensor name is not a string")
         except (KeyError, TypeError) as e:
             raise ValueError(f"{path} has a malformed manifest entry {entry!r}") from e
-        if (not isinstance(start, int) or start < 0
-                or not all(isinstance(n, int) and n >= 0 for n in shape)
+        if (name in arrays or not is_number(start, numbers.Integral) or start != end
+                or not all(is_number(n, numbers.Integral) and n >= 0 for n in shape)
                 or start + 4 * count > len(data)):
             raise ValueError(f"{path} is truncated or corrupt at tensor {name!r}")
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=start)
         arrays[name] = arr.reshape(shape).copy()
+        end = start + 4 * count
+    if end != len(data):
+        raise ValueError(f"{path} is corrupt: {len(data) - end} bytes follow the last tensor")
     return arrays
 
 

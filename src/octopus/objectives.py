@@ -30,7 +30,8 @@ def corrupt_spans(
     Masks CORRUPTION_RATE of the tokens in at least one span and at most
     one span per sentinel. Returns (input ids, target ids) where the input
     has span i collapsed to SENTINEL_i (left to right) and the target lists
-    each sentinel followed by the tokens it hides, ending with eos.
+    each sentinel followed by the tokens it hides, ending with eos. Both
+    lengths follow from len(tokens) alone, so equal inputs give equal rows.
     """
     if not tokens:
         raise ValueError("cannot corrupt an empty sequence")

@@ -198,11 +198,13 @@ def _gold_edit_sets(task: TaskSpec, dev) -> list[EditSet] | None:
 
 # ---- batch builders ----
 
-def _denoise_batch(text_ids: list[list[int]], vocab: Vocabulary, rng: np.random.Generator,
-                   batch_size: int, max_len: int) -> Seq2SeqBatch:
-    """Span-corrupt batch_size texts drawn from the encoded, cut texts."""
-    idx = rng.integers(0, len(text_ids), size=batch_size)
-    return batch_from_ids([corrupt_spans(text_ids[i], vocab, rng) for i in idx], vocab, max_len)
+def _denoise_batch(stream: list[int], vocab: Vocabulary, rng: np.random.Generator,
+                   batch_size: int, width: int, max_len: int) -> Seq2SeqBatch:
+    """Span-corrupt batch_size windows of `width` stream tokens at drawn
+    starts; every row has one input and one target length, so none is padded."""
+    starts = rng.integers(0, len(stream) - width + 1, size=batch_size)
+    return batch_from_ids([corrupt_spans(stream[s:s + width], vocab, rng) for s in starts],
+                          vocab, max_len)
 
 
 def _batch_rule(vocab: Vocabulary, cfg: TrainConfig, data: Datasets, max_len: int):
@@ -233,17 +235,20 @@ def _batch_rule(vocab: Vocabulary, cfg: TrainConfig, data: Datasets, max_len: in
 
     # share of labeled steps: pretrain and multitask are the joint mix at 0 and 1
     labeled = {"pretrain": 0.0, "multitask": 1.0}.get(cfg.strategy, cfg.labeled_fraction)
-    text_ids: list[list[int]] = []  # each unlabeled text encoded once, cut to max_len
+    stream: list[int] = []  # the unlabeled texts, each encoded once, end to end
+    width = 0
     if labeled < 1:
         if not data.texts:
             raise ValueError(f"{cfg.strategy} training with unlabeled steps "
                              "needs unlabeled texts")
         check_sentinels(vocab)
         for i, text in enumerate(data.texts):
-            ids = vocab.encode(text)[:max_len]
+            ids = vocab.encode(text)
             if not ids:
                 raise ValueError(f"unlabeled text {i} encodes to no tokens")
-            text_ids.append(ids)
+            stream.extend(ids)
+        # T5's pipeline: fixed-length windows of the joined texts, one text long on average
+        width = min(max_len, round(len(stream) / len(data.texts)))
     mixer = None
     if labeled > 0:
         if not data.tasks or any(not td.train for td in data.tasks):
@@ -256,7 +261,7 @@ def _batch_rule(vocab: Vocabulary, cfg: TrainConfig, data: Datasets, max_len: in
         rng = np.random.default_rng((cfg.seed, step, _DATA))
         if np.random.default_rng((cfg.seed, step, _BRANCH)).random() < labeled:
             return labeled_batch(sample_task_batch(mixer, rng)[1])
-        return _denoise_batch(text_ids, vocab, rng, cfg.batch_size, max_len)
+        return _denoise_batch(stream, vocab, rng, cfg.batch_size, width, max_len)
 
     return mixed_batch
 

@@ -1,5 +1,6 @@
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -569,11 +570,21 @@ def _broken_checkpoints(checkpoint, root):
     """Model directories that are missing, corrupt or disagree with themselves."""
     import shutil
 
-    def variant(name, file, text):
+    def variant(name, file, content):
         path = root / name
         shutil.copytree(checkpoint, path)
-        (path / file).write_text(text, encoding="utf-8")
+        (path / file).write_bytes(content.encode() if isinstance(content, str) else content)
         return str(path)
+
+    octo = (checkpoint / "model.octo").read_bytes()
+    (blob_len,) = struct.unpack("<I", octo[5:9])
+
+    def manifest_variant(name, edit):
+        entries = json.loads(octo[9:9 + blob_len])
+        edit(entries)
+        blob = json.dumps(entries).encode()
+        return variant(name, "model.octo",
+                       octo[:5] + struct.pack("<I", len(blob)) + blob + octo[9 + blob_len:])
 
     config = json.loads((checkpoint / "config.json").read_text(encoding="utf-8"))
     small = root / "small_model"  # consistent itself, but smaller than the vocabulary
@@ -591,7 +602,19 @@ def _broken_checkpoints(checkpoint, root):
         variant("float_field", "config.json", json.dumps({**config, "d_model": 16.0})),
         variant("empty_vocab", "vocab.txt", ""),
         variant("bad_vocab_header", "vocab.txt", "vocab_size=x\tsentinels=y\tunit=char\n"),
+        # a bool is an int to isinstance, but no tensor size
+        manifest_variant("bool_shape", lambda m: m[0].update(shape=[True, m[0]["shape"][1]])),
+        manifest_variant("shifted_offset", lambda m: m[0].update(offset=2)),
+        manifest_variant("duplicate_name", lambda m: m[1].update(name=m[0]["name"])),
     ]
+
+
+def test_every_broken_checkpoint_exits_1(checkpoint, tmp_path):
+    for path in _broken_checkpoints(checkpoint, tmp_path / "models"):
+        args = parse_args(["-p", "diacritize", "-t", "abc", "--model-path", path])
+        err = io.StringIO()
+        assert run_batch(args, stdout=io.StringIO(), stderr=err) == 1, path
+        assert err.getvalue().startswith(f"error: cannot load model from {path}: "), path
 
 
 def _fuzz_case(rng, checkpoint, broken, files, tmp_path):

@@ -277,9 +277,10 @@ def _saved_checkpoint(tmp_path):
 
 def test_checkpoint_truncated_header(tmp_path):
     path = _saved_checkpoint(tmp_path)
-    for cut in (7, 12):  # inside the manifest length, inside the manifest
-        path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(ValueError, match="truncated"):
+    saved = path.read_bytes()
+    for cut, message in ((7, "no manifest length"), (12, "manifest cut short")):
+        path.write_bytes(saved[:cut])  # inside the manifest length, inside the manifest
+        with pytest.raises(ValueError, match=f"truncated: {message}"):
             load_checkpoint(path)
 
 
@@ -295,11 +296,17 @@ def test_checkpoint_manifest_outside_payload(tmp_path):
     import struct
 
     data = np.zeros(4, dtype="<f4").tobytes()
-    for entry in ({"name": "x", "shape": [2], "offset": 12},
-                  {"name": "x", "shape": [-1], "offset": 0},
-                  {"name": "x", "shape": [2]},
-                  {"name": ["x"], "shape": [2], "offset": 0}):
-        blob = json.dumps([entry]).encode()
+    x = {"name": "x", "shape": [2], "offset": 0}
+    for manifest in ([{"name": "x", "shape": [2], "offset": 12}],
+                     [{"name": "x", "shape": [-1], "offset": 0}],
+                     [{"name": "x", "shape": [2]}],
+                     [{"name": ["x"], "shape": [2], "offset": 0}],
+                     [{"name": "x", "shape": [True, 4], "offset": 0}],  # a bool is no size
+                     [{"name": "x", "shape": [3], "offset": 4}],  # starts a float late
+                     [x, {"name": "x", "shape": [2], "offset": 8}],  # one name twice
+                     [x, {"name": "y", "shape": [1], "offset": 8}],  # 4 bytes after the last
+                     [{"name": "x", "shape": [4], "offset": False}]):
+        blob = json.dumps(manifest).encode()
         path = tmp_path / "bad.octo"
         path.write_bytes(b"OCTO1" + struct.pack("<I", len(blob)) + blob + data)
         with pytest.raises(ValueError):

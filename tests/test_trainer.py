@@ -234,26 +234,36 @@ def test_identical_seeds_identical_runs(tmp_path):
         assert la.split("\t")[:2] == lb.split("\t")[:2]
 
 
-def test_resume_matches_uninterrupted(tmp_path):
+def test_resume_matches_uninterrupted(tmp_path, monkeypatch):
+    from octopus import trainer
+
     examples, vocab, cfg, _ = _mini_setup()
-    data = Datasets(tasks=[TaskData("translitrate_ar2en", examples)])
+    denoised, denoise = [], trainer._denoise_batch
 
-    straight = Seq2SeqTransformer(cfg, seed=1)
-    tc_full = TrainConfig(strategy="single_task", batch_size=8, max_steps=10, seed=3,
-                          eval_every=5, out_dir=tmp_path / "full")
-    train(straight, vocab, tc_full, data)
+    def counted(*args):
+        denoised.append(args)
+        return denoise(*args)
 
-    part = Seq2SeqTransformer(cfg, seed=1)
-    tc_half = TrainConfig(strategy="single_task", batch_size=8, max_steps=5, seed=3,
-                          eval_every=5, out_dir=tmp_path / "half")
-    train(part, vocab, tc_half, data)
-    resumed = Seq2SeqTransformer(cfg, seed=999)  # params come from the checkpoint
-    tc_resume = TrainConfig(strategy="single_task", batch_size=8, max_steps=10, seed=3,
-                            eval_every=5, out_dir=tmp_path / "resumed")
-    train(resumed, vocab, tc_resume, data, resume_from=tmp_path / "half" / "step_000005")
+    monkeypatch.setattr(trainer, "_denoise_batch", counted)
+    for strategy in ("single_task", "joint"):
+        data = Datasets(texts=[ex.target for ex in examples] if strategy == "joint" else [],
+                        tasks=[TaskData("translitrate_ar2en", examples)])
+        straight = Seq2SeqTransformer(cfg, seed=1)
+        tc_full = TrainConfig(strategy=strategy, batch_size=8, max_steps=10, seed=3,
+                              eval_every=5, out_dir=tmp_path / strategy / "full")
+        train(straight, vocab, tc_full, data)
 
-    for name, p in straight.parameters().items():
-        assert np.array_equal(p.data, resumed.parameters()[name].data), name
+        part = Seq2SeqTransformer(cfg, seed=1)
+        train(part, vocab, replace(tc_full, max_steps=5, out_dir=tmp_path / strategy / "half"),
+              data)
+        resumed = Seq2SeqTransformer(cfg, seed=999)  # params come from the checkpoint
+        denoised.clear()
+        train(resumed, vocab, replace(tc_full, out_dir=tmp_path / strategy / "resumed"), data,
+              resume_from=tmp_path / strategy / "half" / "step_000005")
+        assert bool(denoised) == (strategy == "joint")  # joint resumes into denoising steps
+
+        for name, p in straight.parameters().items():
+            assert np.array_equal(p.data, resumed.parameters()[name].data), (strategy, name)
 
 
 def test_resume_reads_train_state_with_adam_constants(tmp_path):
@@ -900,6 +910,42 @@ def test_pretraining_encodes_each_text_once(monkeypatch):
     train(model, vocab, TrainConfig(strategy="pretrain", batch_size=8, max_steps=6),
           Datasets(texts=texts))
     assert sorted(seen) == sorted(texts)
+
+
+def _denoising_batches(max_len: int, steps: int = 6):
+    """(vocabulary, the texts' ids end to end, window width, the first
+    batches of a pretraining run) on texts of 22 to 57 tokens."""
+    from octopus import trainer
+    from octopus.tasks import synth_structured_text
+
+    texts = synth_structured_text(40, seed=3)
+    vocab = build_vocab(texts, max_size=200, sentinels=16)
+    stream = [t for text in texts for t in vocab.encode(text)]
+    width = min(max_len, round(len(stream) / len(texts)))
+    cfg = TrainConfig(strategy="pretrain", batch_size=8, max_steps=steps, seed=4)
+    build = trainer._batch_rule(vocab, cfg, Datasets(texts=texts), max_len)
+    return vocab, stream, width, [build(step) for step in range(steps)]
+
+
+@pytest.mark.parametrize("max_len", [64, 16], ids=["mean-text-wide", "max_len-wide"])
+def test_denoising_rows_have_one_length_and_no_pad(max_len):
+    vocab, _, _, batches = _denoising_batches(max_len)
+    for batch in batches:
+        assert batch.enc_mask.all()
+        assert (batch.target_ids != vocab.pad_id).all()
+
+
+@pytest.mark.parametrize("max_len", [64, 16], ids=["mean-text-wide", "max_len-wide"])
+def test_denoising_rows_splice_to_stream_windows(max_len):
+    from octopus import splice
+
+    vocab, stream, width, batches = _denoising_batches(max_len)
+    starts = range(len(stream) - width + 1)
+    for batch in batches:
+        for inp, tgt in zip(batch.enc_ids.tolist(), batch.target_ids.tolist()):
+            window = splice(inp, tgt, vocab)
+            assert len(window) == width
+            assert any(stream[s:s + width] == window for s in starts)
 
 
 @pytest.mark.parametrize("strategy", ["pretrain", "joint"])
