@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .tensor import Tensor
@@ -107,14 +108,14 @@ def relative_position_bucket(
     return bucket + min(large, n - 1)
 
 
-def _bucket_matrix(
-    q_len: int, k_len: int, bidirectional: bool, num_buckets: int, max_distance: int
-) -> np.ndarray:
-    """relative_position_bucket over a (q_len, k_len) grid, read from a table
-    of its value at every key-minus-query offset."""
+def _bucket_matrix(n: int, bidirectional: bool, num_buckets: int, max_distance: int) -> np.ndarray:
+    """relative_position_bucket over an (n, n) grid of query and key positions:
+    a read-only view whose entry [q, k] reads offset k - q of one table by
+    offset, edge-padded past max_distance, beyond which the bucket is constant."""
+    m = min(max_distance, n - 1)
     table = np.array([relative_position_bucket(rel, bidirectional, num_buckets, max_distance)
-                      for rel in range(1 - q_len, k_len)], dtype=np.int64)
-    return table[np.arange(k_len)[None, :] - np.arange(q_len)[:, None] + q_len - 1]
+                      for rel in range(-m, m + 1)], dtype=np.int64)
+    return sliding_window_view(np.pad(table, n - 1 - m, mode="edge"), n)[::-1]
 
 
 # each stack's block layout: the sublayers every block runs, in order, each
@@ -229,6 +230,23 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return arrays
 
 
+def load_tensors(path, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """The tensors of a save_checkpoint file, in shapes order, when it holds
+    exactly those names, each of its shape and finite; else ValueError naming
+    path and the first tensor that is extra, missing, mis-shaped or not finite."""
+    arrays = load_checkpoint(path)
+    if extra := sorted(arrays.keys() - shapes.keys()):
+        raise ValueError(f"{path} holds tensor {extra[0]!r}, which the model lacks")
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise ValueError(f"{path}: checkpoint missing parameter {name!r}")
+        if arrays[name].shape != shape:
+            raise ValueError(f"{path}: checkpoint shape mismatch for {name!r}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{path}: checkpoint parameter {name!r} holds a non-finite value")
+    return {name: arrays[name] for name in shapes}
+
+
 class DecoderCache:
     """The inference state of incremental decoding with
     `Seq2SeqTransformer.decode_logits`: unpadded groups of equal-length
@@ -315,7 +333,7 @@ class Seq2SeqTransformer:
         self.params = params if params is not None else init_params(config, seed, dtype)
         n = config.max_seq_len
         # stack -> the relative-position bucket of each (query, key) pair of positions
-        self._buckets = {stack: _bucket_matrix(n, n, stack == "encoder", config.relpos_num_buckets,
+        self._buckets = {stack: _bucket_matrix(n, stack == "encoder", config.relpos_num_buckets,
                                                config.relpos_max_distance) for stack in BLOCKS}
 
     def parameters(self) -> dict[str, Tensor]:
@@ -329,22 +347,9 @@ class Seq2SeqTransformer:
         save_checkpoint(path, {k: p.data for k, p in self.params.items()})
 
     def load(self, path):
-        """Replace every parameter with a new Tensor from a save() file, or
-        none (ValueError naming the first tensor that is extra, missing,
-        mis-shaped or not finite)."""
-        arrays = load_checkpoint(path)
-        shapes = param_shapes(self.config)
-        if extra := sorted(arrays.keys() - shapes.keys()):
-            raise ValueError(f"{path} holds tensor {extra[0]!r}, which the model lacks")
-        for name, shape in shapes.items():
-            if name not in arrays:
-                raise ValueError(f"checkpoint missing parameter {name!r}")
-            if arrays[name].shape != shape:
-                raise ValueError(f"checkpoint shape mismatch for {name!r}")
-            if not np.isfinite(arrays[name]).all():
-                raise ValueError(f"checkpoint parameter {name!r} holds a non-finite value")
-        self.params = {name: Tensor(arrays[name], requires_grad=True, dtype=self.dtype)
-                       for name in shapes}
+        """Replace every parameter from a save() file, or none (`load_tensors`)."""
+        self.params = {name: Tensor(arr, requires_grad=True, dtype=self.dtype) for name, arr
+                       in load_tensors(path, param_shapes(self.config)).items()}
 
     # ---- forward pieces ----
 
@@ -369,7 +374,7 @@ class Seq2SeqTransformer:
 
     def _relpos_bias(self, ops, stack: str, start: int, end: int):
         """(H, q, k) bias for query positions start..end over keys 0..end:
-        the stack's (H, num_buckets) table gathered at one bucket matrix."""
+        the stack's (H, num_buckets) table gathered at a slice of its bucket grid."""
         buckets = self._buckets[stack][start:end, :end]
         return ops.take(self._param(ops, f"{stack}.relpos"), buckets, 1)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .decoding import DecodeConfig, generate_batch
 from .metrics import EditSet, score_task
 from .model import (CONFIG_FILE, VOCAB_FILE, Seq2SeqTransformer, check_counts, is_number,
-                    load_checkpoint, load_toolkit, save_checkpoint, save_toolkit)
+                    load_tensors, load_toolkit, save_checkpoint, save_toolkit)
 from .objectives import Seq2SeqBatch, batch_from_ids, check_sentinels, corrupt_spans, make_batch
 from .optim import AdamState, adam_step
 from .tasks import REGISTRY, Example, TaskSpec, normalize_prefix
@@ -297,10 +297,8 @@ def train(model: Seq2SeqTransformer, vocab: Vocabulary, cfg: TrainConfig,
         loss = model.batch_loss(batch, rng=np.random.default_rng((cfg.seed, step, _DROPOUT)))
         loss_value = float(loss.data)
         if not math.isfinite(loss_value):
-            raise RuntimeError(
-                f"non-finite loss {loss_value} at step {step}; aborting "
-                f"(strategy={cfg.strategy}, lr={cfg.learning_rate})"
-            )
+            raise RuntimeError(f"non-finite loss {loss_value} at step {step}; aborting "
+                               f"(strategy={cfg.strategy}, lr={cfg.learning_rate})")
         loss.backward()
         grads = {k: p.grad for k, p in model.parameters().items() if p.grad is not None}
         adam_step(model.parameters(), grads, opt)
@@ -432,8 +430,7 @@ def train_over_seeds(make_model, vocab: Vocabulary, cfg: TrainConfig, data: Data
 
 
 def _save_train_state(ckpt_dir: Path, opt: AdamState, step: int):
-    arrays = {f"adam.{kind}.{name}": moment for kind, moments in (("m", opt.m), ("v", opt.v))
-              for name, moment in moments.items()}
+    arrays = {f"adam.{kind}.{name}": m for kind in "mv" for name, m in getattr(opt, kind).items()}
     save_checkpoint(ckpt_dir / "train_state.octo", arrays)
     meta = {"step": step, "adam_step": opt.step, "learning_rate": opt.learning_rate}
     (ckpt_dir / "train_state.json").write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
@@ -443,8 +440,9 @@ def _load_train_state(ckpt_dir: Path, model: Seq2SeqTransformer, vocab: Vocabula
                       opt: AdamState) -> int:
     """Load the model and Adam state of a checkpoint written with this
     model config and vocabulary, all or nothing; ValueError naming the
-    checkpoint and the first config field that differs, the vocabulary, or
-    the train state entry that is missing or mis-shaped."""
+    checkpoint and the first config field that differs, the vocabulary,
+    train_state.json, or a tensor of model.octo or train_state.octo
+    (`load_tensors`)."""
     saved_model, saved_vocab = load_toolkit(ckpt_dir)
     saved = asdict(saved_model.config)
     for name, value in asdict(model.config).items():
@@ -453,20 +451,17 @@ def _load_train_state(ckpt_dir: Path, model: Seq2SeqTransformer, vocab: Vocabula
                              f"but the model has {value!r}")
     if vars(saved_vocab) != vars(vocab):  # tokens, ids, sentinels
         raise ValueError(f"{ckpt_dir}: {VOCAB_FILE} is not the run's vocabulary")
-    meta = json.loads((ckpt_dir / "train_state.json").read_text(encoding="utf-8"))
+    try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        meta = json.loads((ckpt_dir / "train_state.json").read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise ValueError(f"{ckpt_dir}: train_state.json is malformed ({e})") from e
     for key in ("step", "adam_step"):
         if not (isinstance(meta, dict) and type(meta.get(key)) is int and meta[key] >= 0):
             raise ValueError(f"{ckpt_dir}: train_state.json needs a non-negative integer {key!r}")
-    arrays = load_checkpoint(ckpt_dir / "train_state.octo")
-    entries = [(moments, name, f"adam.{kind}.{name}")
-               for moments, kind in ((opt.m, "m"), (opt.v, "v")) for name in moments]
-    for _, name, entry in entries:
-        if entry not in arrays or arrays[entry].shape != model.params[name].shape:
-            raise ValueError(f"{ckpt_dir}: train state entry {entry!r} is missing "
-                             f"or not of shape {model.params[name].shape}")
+    arrays = load_tensors(ckpt_dir / "train_state.octo", {
+        f"adam.{kind}.{name}": p.shape for kind in "mv" for name, p in model.params.items()})
     for name, p in model.params.items():
         p.data = saved_model.params[name].data.astype(model.dtype)
-    for moments, name, entry in entries:
-        moments[name] = arrays[entry].astype(model.dtype)
+        opt.m[name], opt.v[name] = (arrays[f"adam.{k}.{name}"].astype(model.dtype) for k in "mv")
     opt.step = meta["adam_step"]
     return meta["step"]

@@ -624,6 +624,27 @@ def test_every_broken_checkpoint_exits_1(checkpoint, tmp_path):
         assert err.getvalue().startswith(f"error: cannot load model from {path}: "), path
 
 
+def test_toy_with_a_huge_max_seq_len_decodes_as_before(tmp_path):
+    # the relative-position bucket grid must not be a max_seq_len x max_seq_len array
+    import shutil
+    from pathlib import Path
+
+    toy = Path(__file__).parents[1] / "bench" / "toy_cipher"
+    huge = tmp_path / "huge"
+    shutil.copytree(toy, huge)
+    config = json.loads((toy / "config.json").read_text(encoding="utf-8"))
+    (huge / "config.json").write_text(json.dumps({**config, "max_seq_len": 100_000}),
+                                      encoding="utf-8")
+    outs = []
+    for path in (toy, huge):
+        out, err = io.StringIO(), io.StringIO()
+        args = parse_args(["-p", "translitrate_ar2en", "-t", "abcd", "-s", "7",
+                           "--model-path", str(path)])
+        assert run_batch(args, stdout=out, stderr=err) == 0, err.getvalue()
+        outs.append(out.getvalue())
+    assert outs[1] == outs[0] and len(outs[0].splitlines()) == 3
+
+
 def _fuzz_case(rng, checkpoint, broken, files, tmp_path):
     """(entry point, argv, stdin text) for one random invocation."""
     pick = lambda values: values[int(rng.integers(len(values)))]  # noqa: E731

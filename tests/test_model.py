@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 import weakref
@@ -192,14 +193,23 @@ def test_relative_position_bucket_regions():
 
 
 def test_bucket_matrix_matches_scalar():
-    mat = _bucket_matrix(6, 6, True, 8, 16)
-    for q in range(6):
-        for k in range(6):
-            assert mat[q, k] == relative_position_bucket(k - q, True, 8, 16)
-    mat = _bucket_matrix(5, 5, False, 8, 16)
-    for q in range(5):
-        for k in range(5):
-            assert mat[q, k] == relative_position_bucket(k - q, False, 8, 16)
+    # max_distance 16: at n <= 17 the table holds every offset, at 40 it is edge-padded
+    for n, bidirectional in itertools.product((1, 5, 16, 17, 40), (True, False)):
+        grid = _bucket_matrix(n, bidirectional, 8, 16)
+        assert grid.shape == (n, n) and not grid.flags.writeable
+        for q, k in itertools.product(range(n), repeat=2):
+            assert grid[q, k] == relative_position_bucket(k - q, bidirectional, 8, 16)
+
+
+def test_construction_builds_no_square_bucket_array():
+    # a (2048, 2048) int64 grid would be 32 MB per stack
+    tracemalloc.start()
+    try:
+        Seq2SeqTransformer(ModelConfig(vocab_size=139, max_seq_len=2048), params={})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < 1
 
 
 def test_bidirectional_needs_even_buckets():
@@ -587,7 +597,8 @@ def test_model_load_rejects_a_checkpoint_missing_a_parameter(tmp_path):
     del arrays["decoder.final_norm"]
     save_checkpoint(tmp_path / "m.octo", arrays)
     before = {name: p.data.copy() for name, p in model.params.items()}
-    with pytest.raises(ValueError, match="^checkpoint missing parameter 'decoder.final_norm'$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'm.octo'))}: "
+                                         "checkpoint missing parameter 'decoder.final_norm'$"):
         model.load(tmp_path / "m.octo")
     assert all(np.array_equal(p.data, before[name]) for name, p in model.params.items())
 
@@ -616,7 +627,8 @@ def test_model_load_rejects_a_non_finite_parameter_and_replaces_none(tmp_path, v
     arrays["decoder.final_norm"][3] = value  # the last tensor, so every other one is checked
     save_checkpoint(tmp_path / "m.octo", arrays)
     before = {name: p.data.copy() for name, p in model.params.items()}
-    with pytest.raises(ValueError, match="^checkpoint parameter 'decoder.final_norm' "
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'm.octo'))}: checkpoint "
+                                         "parameter 'decoder.final_norm' "
                                          "holds a non-finite value$"):
         model.load(tmp_path / "m.octo")
     assert all(np.array_equal(p.data, before[name]) for name, p in model.params.items())

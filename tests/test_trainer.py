@@ -803,7 +803,12 @@ def test_failed_step_leaves_no_dropout_behind(monkeypatch):
 @pytest.mark.parametrize("corrupt, entry", [
     ("drop_moment", "adam.m.shared.embedding"),
     ("shape_moment", "adam.v.shared.embedding"),
+    ("nan_moment", "adam.m.decoder.final_norm"),
+    ("inf_moment", "adam.v.encoder.relpos"),
+    ("extra_moment", "adam.m.wat"),
     ("drop_adam_step", "adam_step"),
+    ("bad_json", "train_state.json"),
+    ("nan_model_param", "encoder.block0.attn.wq"),
 ])
 def test_resume_checks_train_state(tmp_path, monkeypatch, corrupt, entry):
     import json
@@ -822,13 +827,18 @@ def test_resume_checks_train_state(tmp_path, monkeypatch, corrupt, entry):
         meta = json.loads((ckpt / "train_state.json").read_text())
         del meta[entry]
         (ckpt / "train_state.json").write_text(json.dumps(meta))
+    elif corrupt == "bad_json":
+        (ckpt / "train_state.json").write_text('{"step": 2, adam_step: 2}')
     else:
-        arrays = load_checkpoint(ckpt / "train_state.octo")
+        file = ckpt / ("model.octo" if corrupt == "nan_model_param" else "train_state.octo")
+        arrays = load_checkpoint(file)
         if corrupt == "drop_moment":
             del arrays[entry]
-        else:
+        elif corrupt in ("shape_moment", "extra_moment"):
             arrays[entry] = np.zeros(2, dtype=np.float32)
-        save_checkpoint(ckpt / "train_state.octo", arrays)
+        else:
+            arrays[entry].flat[1] = np.inf if corrupt == "inf_moment" else np.nan
+        save_checkpoint(file, arrays)
 
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran on an unchecked train state")
@@ -837,7 +847,8 @@ def test_resume_checks_train_state(tmp_path, monkeypatch, corrupt, entry):
     tc = replace(tc, max_steps=4, out_dir=tmp_path / "resumed")
     model = Seq2SeqTransformer(cfg, seed=1)
     before = {name: p.data.copy() for name, p in model.parameters().items()}
-    with pytest.raises(ValueError, match=re.escape(str(ckpt)) + ".*" + re.escape(repr(entry))):
+    named = entry if corrupt == "bad_json" else repr(entry)
+    with pytest.raises(ValueError, match=re.escape(str(ckpt)) + ".*" + re.escape(named)):
         train(model, vocab, tc, data, resume_from=ckpt)
     assert all(np.array_equal(p.data, before[name]) for name, p in model.parameters().items())
 
