@@ -72,12 +72,10 @@ def block_repeat_ngrams(logprobs: np.ndarray, history: Sequence[int], n: int) ->
     """Mask (-inf) tokens that would repeat an n-gram already in history."""
     if n <= 0 or len(history) < n - 1:
         return logprobs
-    history = list(history)
-    banned = set()
-    suffix = tuple(history[len(history) - (n - 1):]) if n > 1 else ()
-    for i in range(len(history) - n + 1):
-        if tuple(history[i:i + n - 1]) == suffix:
-            banned.add(history[i + n - 1])
+    history = tuple(history)
+    suffix = history[len(history) - n + 1:]
+    banned = {history[i + n - 1] for i in range(len(history) - n + 1)
+              if history[i:i + n - 1] == suffix}
     if not banned:
         return logprobs
     out = logprobs.copy()
@@ -85,30 +83,34 @@ def block_repeat_ngrams(logprobs: np.ndarray, history: Sequence[int], n: int) ->
     return out
 
 
-def sample_step(
-    logprobs: np.ndarray, top_k: int, top_p: float, rng: np.random.Generator
-) -> int:
-    """Draw one token after top-k then nucleus restriction.
-
-    top_k=0 and top_p=1.0 disable the respective filters; with both off
-    this is plain full-distribution sampling.
-    """
-    lp = np.asarray(logprobs, dtype=np.float64)
-    m = lp.max()
-    if np.isneginf(m):
+def _sample_rows(lp: np.ndarray, top_k: int, top_p: float,
+                 rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One token per row of (rows, V) float64 log-probs after top-k then
+    nucleus restriction (top_k=0, top_p=1.0: off), row i drawn as
+    `rngs[i].choice` over its kept tokens would: one uniform against their cdf."""
+    m = lp.max(axis=1, keepdims=True)
+    if not np.isfinite(m).all():  # a row of -inf, or one holding a NaN or +inf
         raise ValueError("no tokens available to sample")
     probs = np.exp(lp - m)
-    probs /= probs.sum()
-    order = np.argsort(-probs, kind="stable")  # ties to the lower token id
-    if top_k and top_k > 0:
-        order = order[:top_k]
+    probs /= probs.sum(axis=1, keepdims=True)
+    order = np.argsort(-probs, axis=1, kind="stable")  # ties to the lower token id
+    rows = np.arange(len(lp))[:, None]
+    kept = probs[rows, order[:, :top_k if top_k > 0 else None]]
     if top_p < 1.0:
-        cum = np.cumsum(probs[order])
-        cut = int(np.searchsorted(cum, top_p)) + 1
-        order = order[:cut]
-    kept = probs[order]
-    kept = kept / kept.sum()
-    return int(order[rng.choice(len(order), p=kept)])
+        n = np.minimum((np.cumsum(kept, axis=1) < top_p).sum(axis=1) + 1, kept.shape[1])
+        kept = kept[:, :n.max()] * (np.arange(n.max()) < n[:, None])  # zero past each row's cut
+        # each row sums its own kept tokens: a zero-padded sum can differ in the last bit
+        total = np.array([[row[:k].sum()] for row, k in zip(kept, n)])
+    else:
+        total = kept.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(kept / total, axis=1)
+    cdf /= cdf[:, -1:]
+    return order[rows[:, 0], (cdf <= [[rng.random()] for rng in rngs]).sum(axis=1)]
+
+
+def sample_step(logprobs, top_k: int, top_p: float, rng: np.random.Generator) -> int:
+    """One token of one log-prob vector: the one-row case of `_sample_rows`."""
+    return int(_sample_rows(np.asarray(logprobs, dtype=np.float64)[None], top_k, top_p, [rng])[0])
 
 
 def _blocker(n: int):
@@ -137,11 +139,9 @@ def _beam_choose(lp: np.ndarray, live: list[Row], width: int) -> dict[int, list[
 def _sample_choose(lp: np.ndarray, live: list[Row], cfg: DecodeConfig,
                    rngs: list[np.random.Generator]) -> dict[int, list[Row]]:
     """One token per live row, drawn with its search's own generator."""
-    picked = {}
-    for r, (search, logprob, ids, _) in enumerate(live):
-        tok = sample_step(lp[r], cfg.top_k, cfg.top_p, rngs[search])
-        picked[search] = [(search, logprob + float(lp[r, tok]), ids + (tok,), r)]
-    return picked
+    toks = _sample_rows(lp, cfg.top_k, cfg.top_p, [rngs[row[0]] for row in live])
+    return {search: [(search, logprob + float(lp[r, tok]), ids + (int(tok),), r)]
+            for r, ((search, logprob, ids, _), tok) in enumerate(zip(live, toks))}
 
 
 def _search(step: BatchStep, n_searches: int, width: int, max_len: int, eos_id: int,
@@ -188,7 +188,7 @@ def _search(step: BatchStep, n_searches: int, width: int, max_len: int, eos_id: 
 
 def _per_prefix(step_fn: StepFn) -> BatchStep:
     """The `BatchStep` that calls step_fn on each live row's prefix."""
-    return lambda parents, prefixes: np.stack([step_fn(p) for p in prefixes])
+    return lambda parents, prefixes: np.stack([step_fn(p) for p in prefixes], dtype=np.float64)
 
 
 def beam_search(step_fn: StepFn, nbeam: int, max_len: int, eos_id: int,

@@ -302,13 +302,16 @@ class DecoderCache:
         """For each source group that some row reads:
         (group, the positions of its rows, their sources within the group).
         Kept until `reorder` changes the rows; a contiguous run of indices
-        is a slice, so reading it copies nothing."""
+        is a slice, so reading it copies nothing, and rows that all read one
+        source get it as a one-row slice, which attention broadcasts."""
         if self._row_groups is None:
             self._row_groups, first = [], 0
             for g, n in enumerate(len(ids) for ids in self.groups):
                 sel = np.flatnonzero((self.rows >= first) & (self.rows < first + n))
                 if len(sel):
-                    self._row_groups.append((g, _as_slice(sel), _as_slice(self.rows[sel] - first)))
+                    loc = self.rows[sel] - first
+                    loc = slice(loc[0], loc[0] + 1) if (loc == loc[0]).all() else _as_slice(loc)
+                    self._row_groups.append((g, _as_slice(sel), loc))
                 first += n
         return self._row_groups
 
@@ -517,10 +520,13 @@ def save_toolkit(path, model: Seq2SeqTransformer, vocab: Vocabulary):
 def load_toolkit(path) -> tuple[Seq2SeqTransformer, Vocabulary]:
     """The model and vocabulary of a `save_toolkit` directory, such as a checkpoint."""
     root = Path(path)
-    config = ModelConfig.from_json((root / CONFIG_FILE).read_text(encoding="utf-8"))
+    try:  # malformed JSON or text, and invalid fields
+        config = ModelConfig.from_json((root / CONFIG_FILE).read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise ValueError(f"{root / CONFIG_FILE}: {e}") from e
     vocab = Vocabulary.load(root / VOCAB_FILE)
     if vocab.vocab_size != config.vocab_size:
-        raise ValueError(f"the vocabulary has {vocab.vocab_size} ids "
+        raise ValueError(f"{root / VOCAB_FILE}: the vocabulary has {vocab.vocab_size} ids "
                          f"but the model has {config.vocab_size}")
     model = Seq2SeqTransformer(config, params={})  # load() fills every parameter: no random init
     model.load(root / MODEL_FILE)

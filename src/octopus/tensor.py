@@ -219,11 +219,15 @@ def relu(x: Tensor) -> Tensor:
 
 def _drop(x: np.ndarray, rate: float, keep: np.ndarray | None = None,
           rng: np.random.Generator | None = None):
-    """Inverted dropout of an array: (x * keep / (1 - rate), keep), with the
-    bool keep mask (a quarter of a float32 mask) drawn from rng unless given."""
+    """Inverted dropout of an array: (x * keep * 65536 / (65536 - t), keep)
+    with t = round(rate * 65536), never 65536. Unless given, the bool keep
+    mask is word >= t over 16-bit words of rng's raw 64-bit outputs, low
+    word first: a quarter of the draws of one float per element."""
+    t = min(round(rate * 65536), 65535)
     if keep is None:
-        keep = rng.random(x.shape) >= rate
-    return x * keep * x.dtype.type(1.0 / (1.0 - rate)), keep
+        words = rng.bit_generator.random_raw(-(-x.size // 4)).astype("<u8", copy=False)
+        keep = (words.view("<u2")[:x.size] >= t).reshape(x.shape)
+    return x * keep * x.dtype.type(65536 / (65536 - t)), keep
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from octopus import DecodeConfig, beam_search, block_repeat_ngrams, generate, sample_step
-from octopus.decoding import generate_batch, greedy_decode_batch, greedy_search, sampling_search
+from octopus.decoding import (_sample_choose, _sample_rows, generate_batch, greedy_decode_batch,
+                              greedy_search, sampling_search)
+from octopus.model import DecoderCache
 from octopus.tensor import no_grad
 from octopus.vocab import build_vocab
 from octopus import ModelConfig, Seq2SeqTransformer
@@ -406,3 +408,124 @@ def test_empty_source_is_named_before_encoding(tiny_setup, monkeypatch):
         generate_batch(model, vocab, [[3, 4], [5], [], [6]], DecodeConfig(method="greedy"))
     with pytest.raises(ValueError, match="source 0 is empty"):
         generate(model, vocab, [], DecodeConfig())
+
+
+# ---- the row-batched draw against one Generator.choice per row ----
+
+def _choice_draw(lp, top_k, top_p, rng):
+    """One row's draw written out directly: filter, renormalise, Generator.choice."""
+    probs = np.exp(lp - lp.max())
+    probs /= probs.sum()
+    order = np.argsort(-probs, kind="stable")
+    if top_k > 0:
+        order = order[:top_k]
+    if top_p < 1.0:
+        order = order[:int(np.searchsorted(np.cumsum(probs[order]), top_p)) + 1]
+    kept = probs[order]
+    return int(order[rng.choice(len(order), p=kept / kept.sum())])
+
+
+def _random_logprobs(g, rows, v, blocked=0.0):
+    lp = g.standard_normal((rows, v)) * g.choice([0.3, 1.0, 4.0])
+    lp[g.random((rows, v)) < blocked] = -np.inf  # as the n-gram blocker leaves them
+    lp[np.arange(rows), g.integers(v, size=rows)] = 0.0  # at least one token per row
+    return lp - np.log(np.exp(lp).sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("top_k, top_p", [(0, 1.0), (4, 1.0), (0, 0.9), (4, 0.9)],
+                         ids=["neither", "top_k", "top_p", "both"])
+def test_batched_draw_equals_per_row_choice(top_k, top_p):
+    g = np.random.default_rng(top_k + int(top_p * 10))
+    for trial in range(150):
+        rows, v = int(g.integers(1, 7)), int(g.choice([2, 5, 40, 139]))
+        lp = _random_logprobs(g, rows, v, blocked=g.choice([0.0, 0.5]))
+        seeds = g.integers(1 << 30, size=rows)
+        batched = [np.random.default_rng(s) for s in seeds]
+        per_row = [np.random.default_rng(s) for s in seeds]
+        for step in range(4):
+            got = _sample_rows(lp, top_k, top_p, batched)
+            assert got.tolist() == [_choice_draw(row, top_k, top_p, rng)
+                                    for row, rng in zip(lp, per_row)]
+            assert all(np.isfinite(lp[r, tok]) for r, tok in enumerate(got))
+        # each row drew exactly one uniform per step from its own generator
+        assert [a.random() for a in batched] == [b.random() for b in per_row]
+
+
+@pytest.mark.parametrize("top_k, top_p", [(0, 1.0), (3, 1.0), (0, 0.6), (3, 0.6)])
+def test_batched_draw_breaks_ties_like_choice(top_k, top_p):
+    # equal probabilities sort to the lower token id, then the cdf picks among them
+    with np.errstate(divide="ignore"):  # log(0) = -inf: a blocked token
+        lp = np.log([[0.1, 0.2, 0.2, 0.2, 0.2, 0.1],
+                     [0.25, 0.25, 0.25, 0.25, 0.0, 0.0],
+                     [0.5, 0.0, 0.0, 0.0, 0.0, 0.5]])
+    batched = [np.random.default_rng(s) for s in range(3)]
+    per_row = [np.random.default_rng(s) for s in range(3)]
+    seen = set()
+    for _ in range(300):
+        got = _sample_rows(lp, top_k, top_p, batched).tolist()
+        assert got == [_choice_draw(row, top_k, top_p, rng) for row, rng in zip(lp, per_row)]
+        seen.update(enumerate(got))
+    if (top_k, top_p) == (3, 1.0):
+        assert {tok for r, tok in seen if r == 0} == {1, 2, 3}  # the tied 0.2s, lowest ids first
+
+
+def test_batched_draw_serves_several_searches_per_step():
+    # live rows of four searches, one generator each: every row draws from its search's
+    g = np.random.default_rng(21)
+    lp = _random_logprobs(g, 4, 30, blocked=0.3)
+    live = [(search, -float(search), (5, search), search) for search in (2, 0, 3, 1)]
+    cfg = DecodeConfig("sampling", top_k=8, top_p=0.95)
+    rngs = [np.random.default_rng((4, d)) for d in range(4)]
+    want_rngs = [np.random.default_rng((4, d)) for d in range(4)]
+    for _ in range(3):
+        picked = _sample_choose(lp, live, cfg, rngs)
+        assert list(picked) == [2, 0, 3, 1]
+        for r, (search, logprob, ids, _) in enumerate(live):
+            tok = _choice_draw(lp[r], 8, 0.95, want_rngs[search])
+            assert picked[search] == [(search, logprob + float(lp[r, tok]), ids + (tok,), r)]
+
+
+def test_batched_draw_with_no_token_left_raises():
+    lp = np.zeros((3, 4))
+    lp[1] = -np.inf
+    with pytest.raises(ValueError, match="no tokens available to sample"):
+        _sample_rows(lp, 0, 1.0, [np.random.default_rng(s) for s in range(3)])
+    with pytest.raises(ValueError, match="no tokens available to sample"):
+        sample_step(np.full(4, -np.inf), 2, 0.9, np.random.default_rng(0))
+    for bad in (np.nan, np.inf):  # no distribution to draw from, not a silent token
+        with pytest.raises(ValueError, match="no tokens available to sample"):
+            sample_step(np.array([0.0, bad, -1.0]), 0, 1.0, np.random.default_rng(0))
+
+
+# ---- cross-attention reads of the decoder cache ----
+
+def test_decoder_cache_rows_of_one_source_read_a_one_row_slice(tiny_setup):
+    model, vocab = tiny_setup
+    groups = [[vocab.encode("abc")], [vocab.encode("fe"), vocab.encode("dd")]]
+    # rows 0-2 are three beams of the first group's one source; rows 3-5 mix two sources
+    cache = DecoderCache(groups, [0, 0, 0, 1, 2, 2])
+    (g0, sel0, loc0), (g1, sel1, loc1) = cache.row_groups()
+    assert (g0, sel0, loc0) == (0, slice(0, 3), slice(0, 1))
+    assert g1 == 1 and sel1 == slice(3, 6) and loc1.tolist() == [0, 1, 1]
+    # two groups whose rows each read one source, the second not the group's first
+    one_each = DecoderCache(groups, [0, 0, 2, 2])
+    assert [loc for _, _, loc in one_each.row_groups()] == [slice(0, 1), slice(1, 2)]
+
+    def gathered(cache):
+        """row_groups with every one-row slice written out as the index array it stands for."""
+        out = []
+        for g, sel, loc in DecoderCache.row_groups(cache):
+            n = len(cache.rows[sel])
+            out.append((g, sel, np.full(n, loc.start) if isinstance(loc, slice) else loc))
+        return out
+
+    for rows in ([0, 0, 0, 1, 2, 2], [0, 0, 2, 2]):
+        sliced, gather = DecoderCache(groups, rows), DecoderCache(groups, rows)
+        gather.row_groups = lambda cache=gather: gathered(cache)
+        assert any(isinstance(loc, np.ndarray) and len(set(loc.tolist())) == 1
+                   for _, _, loc in gather.row_groups())
+        tokens = np.full((len(rows), 1), vocab.pad_id)
+        for step in range(4):
+            a, b = (model.decode_logits(None, None, tokens, cache=c) for c in (sliced, gather))
+            assert np.array_equal(a, b)
+            tokens = a[:, -1:].argmax(axis=-1)

@@ -256,8 +256,9 @@ def _attention_inputs(rng, dtype, mask_kind):
 
 
 def _composed_attention(q, k, v, heads, scale, bias, mask, rate, rng):
-    """The separate-op attention path, with a float 0/1 dropout mask: split
-    the heads, attend per head, merge the heads."""
+    """The separate-op attention path, with a float 0/1 dropout mask drawn
+    from rng's raw 16-bit words: split the heads, attend per head, merge
+    the heads."""
     def split(x):
         b, n, d = x.shape
         return T.transpose(T.reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))
@@ -265,8 +266,10 @@ def _composed_attention(q, k, v, heads, scale, bias, mask, rate, rng):
     q, k, v = split(q), split(k), split(v)
     scores = T.matmul(T.mul(q, scale), T.transpose(k, (0, 1, 3, 2)))
     attn = T.softmax(T.add(T.add(scores, bias), Tensor(mask, dtype=q.dtype)), axis=-1)
-    keep = (rng.random(attn.shape) >= rate).astype(q.dtype)
-    attn = T.mul(T.mul(attn, Tensor(keep, dtype=q.dtype)), 1.0 / (1.0 - rate))
+    t, n = round(rate * 65536), attn.data.size
+    words = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8").view("<u2")
+    keep = (words[:n].reshape(attn.shape) >= t).astype(q.dtype)
+    attn = T.mul(T.mul(attn, Tensor(keep, dtype=q.dtype)), 65536 / (65536 - t))
     out = T.matmul(attn, v)
     b, _, lq, dh = out.shape
     return T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, lq, heads * dh))
@@ -349,3 +352,61 @@ def test_op_outputs_that_no_vjp_reads_die_with_the_forward():
         assert all(ref() is None for ref in refs)
         loss.backward()
     assert np.allclose(x.grad, [5.0, 2.0, 5.0])
+
+
+# ---- the dropout mask: 16-bit words of the generator's raw outputs ----
+
+@pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
+def test_dropout_keep_share_within_binomial_bound(rate):
+    n, t = 400_000, round(rate * 65536)
+    _, keep = T._drop(np.ones(n, dtype=np.float32), rate, rng=np.random.default_rng(11))
+    p = (65536 - t) / 65536
+    assert abs(keep.mean() - p) < 5 * math.sqrt(p * (1 - p) / n)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.3])
+def test_dropout_scales_kept_entries_by_words_over_kept_words(dtype, rate):
+    x = np.ones((3, 50, 7), dtype=dtype)
+    out, keep = T._drop(x, rate, rng=np.random.default_rng(2))
+    t = round(rate * 65536)
+    assert out.dtype == dtype and keep.shape == x.shape and keep.dtype == bool
+    assert (out[keep] == dtype(65536 / (65536 - t))).all() and (out[~keep] == 0).all()
+    assert np.array_equal(T._drop(2 * x, rate, keep)[0], 2 * out)  # a given mask is reused
+
+
+def test_dropout_same_rng_same_mask():
+    x = np.ones((4, 33), dtype=np.float32)
+    a = T._drop(x, 0.3, rng=np.random.default_rng(9))[1]
+    b = T._drop(x, 0.3, rng=np.random.default_rng(9))[1]
+    c = T._drop(x, 0.3, rng=np.random.default_rng(10))[1]
+    assert np.array_equal(a, b) and not np.array_equal(a, c)
+
+
+def test_dropout_rate_below_one_word_keeps_everything():
+    # round(rate * 65536) == 0: every word passes, and the scale is exactly 1
+    x = np.random.default_rng(0).standard_normal((5, 9)).astype(np.float32)
+    out, keep = T._drop(x, 1e-6, rng=np.random.default_rng(1))
+    assert keep.all() and np.array_equal(out, x)
+
+
+def test_dropout_rate_just_below_one_is_finite():
+    # round(rate * 65536) would be 65536: the threshold stops one word short
+    x = np.ones(4000, dtype=np.float32)
+    out, keep = T._drop(x, 1.0 - 1e-7, rng=np.random.default_rng(3))
+    assert np.isfinite(out).all()
+    assert (T._drop(x, 1.0 - 1e-7, np.ones(x.shape, dtype=bool))[0] == 65536).all()
+    assert np.isfinite(T.dropout(Tensor(x), 1.0 - 1e-7, np.random.default_rng(3)).data).all()
+
+
+def test_dropout_mask_word_order_golden():
+    # default_rng(0)'s first raw outputs are 0xa30febcfd9c2825f, 0x4510bdf882d9d721;
+    # each one gives four 16-bit words, low word first, read in C order
+    raw = np.random.default_rng(0).bit_generator.random_raw(2)
+    words = [(int(r) >> s) & 0xFFFF for r in raw for s in (0, 16, 32, 48)]
+    assert words == [33375, 55746, 60367, 41743, 55073, 33497, 48632, 17680]
+    x = np.ones((2, 4), dtype=np.float32)
+    keep = T._drop(x, 0.75, rng=np.random.default_rng(0))[1]  # t = 49152
+    assert keep.astype(int).tolist() == [[0, 1, 1, 0], [1, 0, 0, 0]]
+    keep = T._drop(x[0, :3], 0.75, rng=np.random.default_rng(0))[1]  # one raw output, part read
+    assert keep.astype(int).tolist() == [0, 1, 1]

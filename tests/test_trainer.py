@@ -808,6 +808,7 @@ def test_failed_step_leaves_no_dropout_behind(monkeypatch):
     ("extra_moment", "adam.m.wat"),
     ("drop_adam_step", "adam_step"),
     ("bad_json", "train_state.json"),
+    ("bad_config", "config.json"),
     ("nan_model_param", "encoder.block0.attn.wq"),
 ])
 def test_resume_checks_train_state(tmp_path, monkeypatch, corrupt, entry):
@@ -829,6 +830,8 @@ def test_resume_checks_train_state(tmp_path, monkeypatch, corrupt, entry):
         (ckpt / "train_state.json").write_text(json.dumps(meta))
     elif corrupt == "bad_json":
         (ckpt / "train_state.json").write_text('{"step": 2, adam_step: 2}')
+    elif corrupt == "bad_config":
+        (ckpt / "config.json").write_text("{")
     else:
         file = ckpt / ("model.octo" if corrupt == "nan_model_param" else "train_state.octo")
         arrays = load_checkpoint(file)
@@ -847,7 +850,7 @@ def test_resume_checks_train_state(tmp_path, monkeypatch, corrupt, entry):
     tc = replace(tc, max_steps=4, out_dir=tmp_path / "resumed")
     model = Seq2SeqTransformer(cfg, seed=1)
     before = {name: p.data.copy() for name, p in model.parameters().items()}
-    named = entry if corrupt == "bad_json" else repr(entry)
+    named = entry if corrupt in ("bad_json", "bad_config") else repr(entry)
     with pytest.raises(ValueError, match=re.escape(str(ckpt)) + ".*" + re.escape(named)):
         train(model, vocab, tc, data, resume_from=ckpt)
     assert all(np.array_equal(p.data, before[name]) for name, p in model.parameters().items())
