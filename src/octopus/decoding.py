@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import DecoderCache, check_counts, is_number
+from .model import DecoderCache, check_counts, checked_ids, is_number
 
 StepFn = Callable[[tuple[int, ...]], np.ndarray]  # prefix -> log-prob vector
 # (parent row of each live row, each live row's prefix) -> (rows, V) log-probs
@@ -249,6 +249,7 @@ def generate_batch(model, vocab, sources: list[list[int]], cfg: DecodeConfig,
     for i, source in enumerate(sources):
         if len(source) == 0:
             raise ValueError(f"source {i} is empty; a source needs at least one token")
+        checked_ids(model.config, [source], f"source {i}")  # before any chunk decodes
     max_len = min(cfg.seq_length, max_output_len(model))
     blocker = _blocker(cfg.no_repeat_ngram_size)
     # searches per source, the width of each, and the hypotheses kept per search

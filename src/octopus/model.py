@@ -247,6 +247,18 @@ def load_tensors(path, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarr
     return {name: arrays[name] for name in shapes}
 
 
+def checked_ids(config: ModelConfig, ids, name: str, start: int = 0) -> np.ndarray:
+    """ids, a (rows, length) matrix at positions start.., as int64; ValueError
+    naming it when an id is outside the vocabulary or a position passes max_seq_len."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
+        raise ValueError(f"{name} contains ids outside [0, {config.vocab_size})")
+    if start + ids.shape[1] > config.max_seq_len:
+        raise ValueError(f"{name} length {start + ids.shape[1]} exceeds "
+                         f"max_seq_len {config.max_seq_len}")
+    return ids
+
+
 class DecoderCache:
     """The inference state of incremental decoding with
     `Seq2SeqTransformer.decode_logits`: unpadded groups of equal-length
@@ -332,12 +344,17 @@ class Seq2SeqTransformer:
     def __init__(self, config: ModelConfig, params: dict[str, Tensor] | None = None,
                  seed: int = 0, dtype=np.float32):
         self.config = config
-        self.dtype = dtype
         self.params = params if params is not None else init_params(config, seed, dtype)
         n = config.max_seq_len
         # stack -> the relative-position bucket of each (query, key) pair of positions
         self._buckets = {stack: _bucket_matrix(n, stack == "encoder", config.relpos_num_buckets,
                                                config.relpos_max_distance) for stack in BLOCKS}
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype (the constructor's `dtype` is only a random
+        init's); while there are none, float32, a checkpoint's."""
+        return next(iter(self.params.values())).dtype if self.params else np.dtype(np.float32)
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -358,17 +375,6 @@ class Seq2SeqTransformer:
 
     def _dropout(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         return x if rng is None else T.dropout(x, self.config.dropout_rate, rng)
-
-    def _checked_ids(self, ids, name: str) -> np.ndarray:
-        """ids as an int64 array, checked against the vocabulary and max_seq_len."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
-            raise ValueError(f"{name} contains ids outside [0, {self.config.vocab_size})")
-        if ids.shape[1] > self.config.max_seq_len:
-            raise ValueError(
-                f"{name} length {ids.shape[1]} exceeds max_seq_len {self.config.max_seq_len}"
-            )
-        return ids
 
     def _param(self, ops, name: str):
         """A parameter as the op set takes it: a Tensor for `tensor`, else its array."""
@@ -452,9 +458,8 @@ class Seq2SeqTransformer:
         attn_mask marks real tokens; pad key positions are masked with
         -inf attention logits so they cannot influence real positions.
         """
-        ids = self._checked_ids(ids, "encoder ids")
-        dt = self.params["shared.embedding"].data.dtype
-        mask_add = self._key_mask_add(np.asarray(attn_mask, dtype=bool), dt)
+        ids = checked_ids(self.config, ids, "encoder ids")
+        mask_add = self._key_mask_add(np.asarray(attn_mask, dtype=bool), self.dtype)
         return self._stack(T, "encoder", ids, mask_add, rng=rng)
 
     def decode_logits(self, enc_hidden, enc_mask, dec_ids, cache: DecoderCache | None = None,
@@ -476,22 +481,19 @@ class Seq2SeqTransformer:
         if cache is not None and any(a is not None for a in (enc_hidden, enc_mask, rng)):
             raise ValueError("cached decoding is inference on the cache's source groups; "
                              "pass enc_hidden=None, enc_mask=None and rng=None")
-        dec_ids = self._checked_ids(dec_ids, "decoder ids")
         cfg = self.config
         ops = T if cache is None else T.array_ops
         start = cache.length if cache is not None else 0
+        dec_ids = checked_ids(cfg, dec_ids, "decoder ids", start)
         t_len = dec_ids.shape[1]
         end = start + t_len
-        if end > cfg.max_seq_len:
-            raise ValueError(f"decoder length {end} exceeds max_seq_len {cfg.max_seq_len}")
         if cache is not None and cache.enc is None:
-            cache.enc = [self._stack(ops, "encoder", self._checked_ids(ids, "encoder ids"), None)
+            cache.enc = [self._stack(ops, "encoder", checked_ids(cfg, ids, "encoder ids"), None)
                          for ids in cache.groups]
-        dt = self.params["shared.embedding"].data.dtype
         # a single query row may see every key, so it needs no causal mask
-        causal = (np.triu(np.full((1, 1, t_len, end), -np.inf, dtype=dt), k=1 + start)
+        causal = (np.triu(np.full((1, 1, t_len, end), -np.inf, dtype=self.dtype), k=1 + start)
                   if t_len > 1 else None)
-        cross_mask = (self._key_mask_add(np.asarray(enc_mask, dtype=bool), dt)
+        cross_mask = (self._key_mask_add(np.asarray(enc_mask, dtype=bool), self.dtype)
                       if cache is None else None)
         x = self._stack(ops, "decoder", dec_ids, causal, start, enc_hidden, cross_mask, rng, cache)
         if cache is not None:

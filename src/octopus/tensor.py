@@ -1,8 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy.
 
 Float32 is the training precision. Pass dtype=np.float64 when building
-parameters for finite-difference gradient checks; every op preserves the
-dtype of its inputs.
+parameters for finite-difference gradient checks. Ops take their Tensor
+operands as they are and never cast them, so a result has its inputs'
+dtype; only `add` and `mul` take a scalar or array second operand, as a
+constant of the first operand's dtype.
 """
 
 from __future__ import annotations
@@ -38,13 +40,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is None:
-            dtype = np.float32
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._node = None
+        self.grad = self._node = None
 
     @property
     def _vjp(self):
@@ -84,11 +83,8 @@ class Tensor:
         return tensor_sum(self)
 
 
-def _as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else np.float32
-    return Tensor(np.asarray(x, dtype=dtype))
+def _as_tensor(x, like: Tensor) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x, dtype=like.data.dtype)
 
 
 class _Node:
@@ -130,9 +126,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def add(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
+def add(a: Tensor, b) -> Tensor:
+    b = _as_tensor(b, a)
     data = a.data + b.data
     sa, sb = a.data.shape, b.data.shape
 
@@ -142,9 +137,8 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), vjp)
 
 
-def mul(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
+def mul(a: Tensor, b) -> Tensor:
+    b = _as_tensor(b, a)
     data = a.data * b.data
 
     def vjp(g):
@@ -156,19 +150,15 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), vjp)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes, leading axes broadcast.
 
     Raises ValueError when the inner dimensions disagree.
     """
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul expects tensors with ndim >= 2")
     if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(
-            f"matmul dimension mismatch: {a.data.shape} x {b.data.shape}"
-        )
+        raise ValueError(f"matmul dimension mismatch: {a.data.shape} x {b.data.shape}")
     data = np.matmul(a.data, b.data)
 
     def vjp(g):
@@ -180,13 +170,11 @@ def matmul(a, b) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    x = _as_tensor(x)
     old = x.data.shape
     return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
-    x = _as_tensor(x)
     axes = tuple(axes)
     data = x.data.transpose(axes)
 
@@ -199,7 +187,6 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 def take(x: Tensor, indices, axis: int = 0) -> Tensor:
     """Gather along axis 0 or 1; the gradient scatter-adds back."""
-    x = _as_tensor(x)
     at = (slice(None),) * axis + (np.asarray(indices),)
     shape, dtype = x.data.shape, x.data.dtype
 
@@ -212,7 +199,6 @@ def take(x: Tensor, indices, axis: int = 0) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     keep = x.data > 0
     return _make(np.maximum(x.data, 0), (x,), lambda g: (g * keep,))
 
@@ -234,7 +220,6 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout with a keep mask drawn from rng."""
     if rate <= 0.0:
         return x
-    x = _as_tensor(x)
     data, keep = _drop(x.data, rate, rng=rng)
     return _make(data, (x,), lambda g: (_drop(g, rate, keep)[0],))
 
@@ -258,7 +243,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     -inf entries are allowed (masked positions); a row of all -inf is an
     error since it signals a fully masked attention position.
     """
-    x = _as_tensor(x)
     p = _softmax(x.data, axis)
     return _make(p, (x,), lambda g: (_softmax_vjp(g, p, axis),))
 
@@ -298,12 +282,7 @@ def attention(q, k, v, heads: int, scale: float, bias=None, mask_add=None,
     and gradients equal it bit for bit; the vjp keeps only the attention
     weights and a bool keep mask, not that path's six score-sized arrays.
     """
-    q = _as_tensor(q)
-    k, v = _as_tensor(k, like=q), _as_tensor(v, like=q)
-    parents = (q, k, v)
-    if bias is not None:
-        bias = _as_tensor(bias, like=q)
-        parents += (bias,)
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
     arrays = q.data, k.data, v.data
     bias_shape = None if bias is None else bias.data.shape
     out, p, keep = _attend(*arrays, heads, scale, None if bias is None else bias.data,
@@ -336,8 +315,6 @@ def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6):
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """y_i = gain_i * x_i / sqrt(mean(x^2) + eps), over the last axis."""
-    x = _as_tensor(x)
-    gain = _as_tensor(gain, like=x)
     if gain.data.shape != x.data.shape[-1:]:
         raise ValueError(
             f"rms_norm gain shape {gain.data.shape} does not match last axis of {x.data.shape}"
@@ -357,7 +334,6 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
 
 def tensor_sum(x: Tensor) -> Tensor:
     """The sum of every element, a scalar."""
-    x = _as_tensor(x)
     shape, dtype = x.data.shape, x.data.dtype
     return _make(np.asarray(x.data.sum()), (x,),
                  lambda g: (np.broadcast_to(g, shape).astype(dtype),))
@@ -369,7 +345,6 @@ def cross_entropy(logits: Tensor, targets, ignore_id: int = -100) -> Tensor:
     logits: (n, V). targets: n ids, each in [0, V) or equal to ignore_id.
     Raises when every position is ignored or a target id is out of range.
     """
-    logits = _as_tensor(logits)
     if logits.data.ndim != 2:
         raise ValueError("cross_entropy expects logits of shape (n, V)")
     t = np.asarray(targets, dtype=np.int64)

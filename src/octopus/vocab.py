@@ -130,7 +130,10 @@ class Vocabulary:
         except ValueError:
             raise ValueError(f"corrupt vocabulary file {path}: header {header!r} "
                              "has a count that is not an integer") from None
-        vocab = cls(tokens, sentinels=sentinels)
+        try:  # a repeated token line, or a negative sentinel count
+            vocab = cls(tokens, sentinels=sentinels)
+        except ValueError as e:
+            raise ValueError(f"corrupt vocabulary file {path}: {e}") from None
         if vocab.vocab_size != size:
             raise ValueError(f"corrupt vocabulary file {path}: size mismatch")
         return vocab

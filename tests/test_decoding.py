@@ -402,12 +402,22 @@ def test_generate_batch_no_sources(tiny_setup):
 
 
 def test_empty_source_is_named_before_encoding(tiny_setup, monkeypatch):
+    # every source is checked before the first chunk decodes: a bad source
+    # that sorts last by length stops the batch before any shorter one runs
     model, vocab = tiny_setup
-    monkeypatch.setattr(model, "encode", lambda *a: pytest.fail("encoded an empty source"))
+    monkeypatch.setattr(model, "decode_logits",
+                        lambda *a, **k: pytest.fail("decoded before every source was checked"))
+    greedy = DecodeConfig(method="greedy")
     with pytest.raises(ValueError, match="source 2 is empty"):
-        generate_batch(model, vocab, [[3, 4], [5], [], [6]], DecodeConfig(method="greedy"))
+        generate_batch(model, vocab, [[3, 4], [5], [], [6]], greedy)
     with pytest.raises(ValueError, match="source 0 is empty"):
         generate(model, vocab, [], DecodeConfig())
+    too_long = [3] * (model.config.max_seq_len + 1)
+    with pytest.raises(ValueError, match="^source 1 length 25 exceeds max_seq_len 24$"):
+        generate_batch(model, vocab, [[3, 4], too_long, [5], [6]], greedy, 2)
+    unknown = [3, 4, 5, vocab.vocab_size]
+    with pytest.raises(ValueError, match=rf"^source 3 contains ids outside \[0, {unknown[-1]}\)$"):
+        generate_batch(model, vocab, [[3, 4], [5], [6], unknown], greedy, 2)
 
 
 # ---- the row-batched draw against one Generator.choice per row ----

@@ -634,6 +634,19 @@ def test_model_load_rejects_a_non_finite_parameter_and_replaces_none(tmp_path, v
     assert all(np.array_equal(p.data, before[name]) for name, p in model.params.items())
 
 
+def test_model_dtype_is_its_parameters_dtype(tmp_path):
+    cfg = tiny_model().config
+    model = Seq2SeqTransformer(cfg, params=init_params(cfg, seed=2, dtype=np.float64))
+    assert model.dtype == np.float64
+    saved = {name: p.data.astype(np.float32) for name, p in model.params.items()}
+    model.save(tmp_path / "m.octo")
+    model.load(tmp_path / "m.octo")  # a checkpoint holds float32 values; the model stays float64
+    assert model.dtype == np.float64
+    for name, p in model.params.items():
+        assert p.dtype == np.float64 and np.array_equal(p.data, saved[name])
+    assert Seq2SeqTransformer(cfg, params={}).dtype == np.float32
+
+
 def test_load_toolkit_draws_no_random_init(tmp_path, monkeypatch):
     vocab = build_vocab(["abc def"], sentinels=4)
     saved = Seq2SeqTransformer(ModelConfig(vocab_size=vocab.vocab_size, d_model=8, n_heads=2,

@@ -810,6 +810,7 @@ def test_failed_step_leaves_no_dropout_behind(monkeypatch):
     ("bad_json", "train_state.json"),
     ("bad_config", "config.json"),
     ("nan_model_param", "encoder.block0.attn.wq"),
+    ("dup_vocab", "vocab.txt"),
 ])
 def test_resume_checks_train_state(tmp_path, monkeypatch, corrupt, entry):
     import json
@@ -832,6 +833,9 @@ def test_resume_checks_train_state(tmp_path, monkeypatch, corrupt, entry):
         (ckpt / "train_state.json").write_text('{"step": 2, adam_step: 2}')
     elif corrupt == "bad_config":
         (ckpt / "config.json").write_text("{")
+    elif corrupt == "dup_vocab":  # the last token line twice
+        lines = (ckpt / entry).read_text(encoding="utf-8").splitlines(keepends=True)
+        (ckpt / entry).write_text("".join(lines + lines[-1:]), encoding="utf-8")
     else:
         file = ckpt / ("model.octo" if corrupt == "nan_model_param" else "train_state.octo")
         arrays = load_checkpoint(file)
@@ -850,7 +854,7 @@ def test_resume_checks_train_state(tmp_path, monkeypatch, corrupt, entry):
     tc = replace(tc, max_steps=4, out_dir=tmp_path / "resumed")
     model = Seq2SeqTransformer(cfg, seed=1)
     before = {name: p.data.copy() for name, p in model.parameters().items()}
-    named = entry if corrupt in ("bad_json", "bad_config") else repr(entry)
+    named = entry if corrupt in ("bad_json", "bad_config", "dup_vocab") else repr(entry)
     with pytest.raises(ValueError, match=re.escape(str(ckpt)) + ".*" + re.escape(named)):
         train(model, vocab, tc, data, resume_from=ckpt)
     assert all(np.array_equal(p.data, before[name]) for name, p in model.parameters().items())

@@ -144,6 +144,17 @@ def test_negative_sentinel_count_is_rejected():
         Vocabulary(list("abc"), sentinels=-2)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("vocab_size=7\tsentinels=2\tunit=char\nab\nab\n", "duplicate content tokens"),
+    ("vocab_size=4\tsentinels=-1\tunit=char\nab\n", "the number of sentinels must be >= 0"),
+], ids=["duplicate_token", "negative_sentinels"])
+def test_load_names_the_file_of_a_rejected_vocabulary(tmp_path, text, error):
+    path = tmp_path / "vocab.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"corrupt vocabulary file {path}: {error}")):
+        Vocabulary.load(path)
+
+
 def test_load_reads_hand_edited_escapes(tmp_path):
     # a lone trailing backslash stays, and an unknown escape reads as its letter
     path = tmp_path / "vocab.txt"
